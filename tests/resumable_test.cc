@@ -22,6 +22,7 @@
 
 #include "automaton/glushkov.h"
 #include "automaton/thompson.h"
+#include "baseline/naive.h"
 #include "core/annotate.h"
 #include "core/enumerator.h"
 #include "core/resumable_index.h"
@@ -42,6 +43,26 @@ WalkSeq Drain(Enumerator& en) {
   return out;
 }
 
+// The order specification, independent of every enumerator: the naive
+// baseline's answer set sorted lexicographically by the target-pool
+// ranks (tgt_idx(e_1), ..., tgt_idx(e_lambda)) of the walks' edges.
+WalkSeq LexOrderedNaiveAnswers(const Snapshot& snap, const Nfa& query,
+                               uint32_t source, uint32_t target) {
+  NaiveResult naive =
+      NaiveDistinctShortestWalks(snap, query, source, target);
+  EXPECT_FALSE(naive.budget_exhausted);
+  std::vector<std::pair<std::vector<uint32_t>, std::vector<uint32_t>>> keyed;
+  for (const Walk& w : naive.walks) {
+    std::vector<uint32_t> key;
+    for (uint32_t e : w.edges) key.push_back(snap.tgt_idx(e));
+    keyed.emplace_back(std::move(key), w.edges);
+  }
+  std::sort(keyed.begin(), keyed.end());
+  WalkSeq out;
+  for (auto& [key, edges] : keyed) out.push_back(std::move(edges));
+  return out;
+}
+
 // The three properties of the harness header, on one (instance, query).
 void ExpectResumableMatchesStateful(Instance inst, const Nfa& query,
                                     const char* what) {
@@ -53,6 +74,8 @@ void ExpectResumableMatchesStateful(Instance inst, const Nfa& query,
 
   TrimmedEnumerator ref_en(ann, tindex, inst.source, inst.target);
   const WalkSeq ref = Drain(ref_en);
+  ASSERT_EQ(ref, LexOrderedNaiveAnswers(snap, query, inst.source,
+                                        inst.target));
 
   // (a) full scan, order included.
   ResumableEnumerator full(ann, rindex, inst.source, inst.target);
