@@ -1,6 +1,6 @@
 // The pre-certificate enumerator, kept as a strawman baseline: it walks
 // the same trimmed candidate lists in the same order as
-// TrimmedEnumerator, but discovers whether a candidate is live for the
+// ResumableEnumerator, but discovers whether a candidate is live for the
 // current prefix by *trial* AdvanceStates — exactly the enumerator this
 // repo shipped before the Theorem 2 certificate machinery landed.
 //
@@ -12,7 +12,7 @@
 // makes the gap between two outputs grow linearly with the fanout —
 // the honest-delay gap bench_delay's E3b and tests/delay_bound_test.cc
 // measure. Answer sequence and order are byte-identical to
-// TrimmedEnumerator's (the property the cross-oracle test pins), only
+// ResumableEnumerator's (the property the cross-oracle test pins), only
 // the delay differs.
 
 #ifndef DSW_BASELINE_TRIAL_FILTER_ENUMERATOR_H_
@@ -25,7 +25,7 @@
 
 #include "core/annotate.h"
 #include "core/database.h"
-#include "core/enumerator.h"
+#include "core/resumable_enumerator.h"  // enumerator_detail::AdvanceStates
 #include "core/trimmed_index.h"
 #include "core/walk.h"
 #include "util/state_set.h"
@@ -36,6 +36,7 @@ class TrialFilterEnumerator {
  public:
   struct OpStats {
     uint64_t row_ors = 0;  // delta-row ORs, dead-candidate trials included
+    uint64_t probes = 0;   // always 0: no certificates are consulted
     uint64_t total() const { return row_ors; }
   };
 

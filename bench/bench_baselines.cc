@@ -19,8 +19,7 @@
 #include "baseline/naive.h"
 #include "bench_util.h"
 #include "core/annotate.h"
-#include "core/enumerator.h"
-#include "core/trimmed_index.h"
+#include "core/resumable_index.h"
 #include "workload/generators.h"
 #include "workload/queries.h"
 
@@ -39,8 +38,8 @@ void BM_Ours_OnGrid(benchmark::State& state) {
   bench::DelayProfile profile;
   for (auto _ : state) {
     Annotation ann = Annotate(snap, query, inst.source, inst.target);
-    TrimmedIndex index(snap, ann);
-    TrimmedEnumerator en(ann, index, inst.source, inst.target);
+    ResumableIndex index(snap, ann);
+    ResumableEnumerator en(ann, index, inst.source, inst.target);
     profile = bench::MeasureDelays(&en);
   }
   bench::ReportDelays(state, profile);
@@ -101,8 +100,8 @@ void BM_Ours_DuplicateFree(benchmark::State& state) {
   bench::DelayProfile profile;
   for (auto _ : state) {
     Annotation ann = Annotate(snap, query, inst.source, inst.target);
-    TrimmedIndex index(snap, ann);
-    TrimmedEnumerator en(ann, index, inst.source, inst.target);
+    ResumableIndex index(snap, ann);
+    ResumableEnumerator en(ann, index, inst.source, inst.target);
     profile = bench::MeasureDelays(&en);
   }
   bench::ReportDelays(state, profile);

@@ -22,8 +22,8 @@
 
 #include "bench_util.h"
 #include "core/annotate.h"
-#include "core/enumerator.h"
 #include "core/query_traits.h"
+#include "core/resumable_index.h"
 #include "core/simple_enumerator.h"
 #include "core/trimmed_index.h"
 #include "workload/generators.h"
@@ -98,15 +98,15 @@ void BM_FastPath_GeneralAlgorithm(benchmark::State& state) {
   bench::DelayProfile profile;
   for (auto _ : state) {
     Annotation ann = Annotate(snap, dfa, inst.source, inst.target);
-    TrimmedIndex index(snap, ann);
-    TrimmedEnumerator en(ann, index, inst.source, inst.target);
+    ResumableIndex index(snap, ann);
+    ResumableEnumerator en(ann, index, inst.source, inst.target);
     profile = bench::MeasureDelays(&en);
   }
   bench::ReportDelays(state, profile);
   Annotation ann = Annotate(snap, dfa, inst.source, inst.target);
-  TrimmedIndex index(snap, ann);
+  ResumableIndex index(snap, ann);
   state.counters["batch_mean_delay_ns"] = BatchedMeanDelayNs(
-      [&] { return TrimmedEnumerator(ann, index, inst.source, inst.target); });
+      [&] { return ResumableEnumerator(ann, index, inst.source, inst.target); });
 }
 BENCHMARK(BM_FastPath_GeneralAlgorithm)->DenseRange(6, 14, 2)
     ->Unit(benchmark::kMillisecond);
@@ -128,16 +128,16 @@ void BM_FastPath_GeneralTierKernels(benchmark::State& state) {
   bench::DelayProfile profile;
   for (auto _ : state) {
     Annotation ann = Annotate(snap, dfa, inst.source, inst.target, force);
-    TrimmedIndex index(snap, ann, force);
-    TrimmedEnumerator en(ann, index, inst.source, inst.target,
+    ResumableIndex index(snap, ann, force);
+    ResumableEnumerator en(ann, index, inst.source, inst.target,
                          /*force_multi_word=*/true);
     profile = bench::MeasureDelays(&en);
   }
   bench::ReportDelays(state, profile);
   Annotation ann = Annotate(snap, dfa, inst.source, inst.target, force);
-  TrimmedIndex index(snap, ann, force);
+  ResumableIndex index(snap, ann, force);
   state.counters["batch_mean_delay_ns"] = BatchedMeanDelayNs([&] {
-    return TrimmedEnumerator(ann, index, inst.source, inst.target,
+    return ResumableEnumerator(ann, index, inst.source, inst.target,
                              /*force_multi_word=*/true);
   });
 }

@@ -2,8 +2,8 @@
 //
 // NextOutput recomputes the position of the previous answer with a guided
 // run. With the plain trimmed queues this costs an extra factor d (the
-// in-degree: queues must be advanced linearly); ResumableTrim's O(1)
-// SeekGe removes it. The star-of-chains family pins lambda and the
+// in-degree: candidate lists must be advanced linearly); ResumableIndex's
+// O(1) SeekGe removes it. The star-of-chains family pins lambda and the
 // answer count while sweeping the in-degree d of the target, so the
 // linear-reseek cost surfaces directly.
 
@@ -11,7 +11,6 @@
 
 #include "bench_util.h"
 #include "core/annotate.h"
-#include "core/enumerator.h"
 #include "core/resumable_index.h"
 #include "workload/generators.h"
 #include "workload/queries.h"
@@ -53,8 +52,9 @@ void BM_Memoryless_SeekAfterChain(benchmark::State& state) {
   Annotation ann = Annotate(snap, query, inst.source, inst.target);
   ResumableIndex index(snap, ann);
   // One enumerator instance is reused across NextOutput steps: the
-  // memoryless model keeps the preprocessed structure (queues + cursors)
-  // fixed and recomputes positions from the previous output alone.
+  // memoryless model keeps the preprocessed structure (candidate lists +
+  // rank arrays) fixed and recomputes positions from the previous output
+  // alone.
   ResumableEnumerator en(ann, index, inst.source, inst.target);
   if (!en.Valid()) {
     state.SkipWithError("no answers");
@@ -72,17 +72,15 @@ void BM_Memoryless_SeekAfterChain(benchmark::State& state) {
   }
   state.counters["outputs"] = static_cast<double>(outputs);
   state.counters["in_degree"] = static_cast<double>(state.range(0));
-  state.counters["ns_per_output"] = benchmark::Counter(
-      static_cast<double>(outputs),
-      benchmark::Counter::kIsIterationInvariantRate |
-          benchmark::Counter::kInvert);
+  state.counters["ns_per_output"] = bench::NsPerUnit(
+      static_cast<double>(outputs));
 }
 BENCHMARK(BM_Memoryless_SeekAfterChain)
     ->RangeMultiplier(4)->Range(4, 1024)->Unit(benchmark::kMillisecond);
 
-// The d-factor strawman: reposition by restarting the queues and
-// advancing linearly to the previous edge (what Trim without resumability
-// forces, cost O(d x lambda) per output).
+// The d-factor strawman: reposition by restarting each level's candidate
+// list and advancing linearly to the previous edge (what Trim without
+// resumability forces, cost O(d x lambda) per output).
 void BM_Memoryless_LinearReseek(benchmark::State& state) {
   Instance inst =
       StarOfChains(static_cast<uint32_t>(state.range(0)), kDepth, 2);
@@ -104,24 +102,22 @@ void BM_Memoryless_LinearReseek(benchmark::State& state) {
     scanned = 0;  // per-chain count, identical every iteration
     while (true) {
       // Simulate the linear reposition cost along prev's path: for each
-      // level, walk the queue from its start to the previous edge. An
-      // edge sits in the queue of its *source* vertex (the level-i
-      // choice point), so that is the queue to re-advance.
-      for (size_t i = prev.edges.size(); i-- > 0;) {
+      // level, walk the candidate list from its start to the previous
+      // edge. An edge sits in the list of its *source* vertex (the
+      // level-i choice point), and every state useful there shares that
+      // one list, so it is re-advanced once per level.
+      for (uint32_t i = static_cast<uint32_t>(prev.edges.size()); i-- > 0;) {
         EdgeId e = prev.edges[i];
-        VertexId u = inst.db.src(e);
+        uint32_t pos = index.SlotAt(i, inst.db.src(e));
+        if (pos == kNoSlot) continue;
         uint32_t ti = snap.tgt_idx(e);
-        for (StateId p = 0; p < ann.num_states; ++p) {
-          uint32_t slot = index.SlotOf(u, p);
-          if (slot == kNoSlot) continue;
-          uint32_t cur = index.RestartCursor(slot);
-          while (!index.Exhausted(slot, cur) &&
-                 index.Peek(slot, cur).tgt_idx < ti) {
-            cur = index.Advanced(slot, cur);
-            ++scanned;
-          }
-          benchmark::DoNotOptimize(cur);
+        auto cand = index.trimmed().CandidatesAt(i, pos);
+        size_t cur = 0;
+        while (cur < cand.size() && snap.tgt_idx(cand[cur].edge) < ti) {
+          ++cur;
+          ++scanned;
         }
+        benchmark::DoNotOptimize(cur);
       }
       if (!en.SeekAfter(prev) || !en.Valid()) break;
       prev = en.walk();

@@ -37,10 +37,8 @@ void BM_Preprocess_VsDbSize(benchmark::State& state) {
   }
   state.counters["edges"] = static_cast<double>(inst.db.num_edges());
   state.counters["db_size"] = static_cast<double>(inst.db.size());
-  state.counters["ns_per_edge"] = benchmark::Counter(
-      static_cast<double>(inst.db.num_edges()),
-      benchmark::Counter::kIsIterationInvariantRate |
-          benchmark::Counter::kInvert);
+  state.counters["ns_per_edge"] = bench::NsPerUnit(
+      static_cast<double>(inst.db.num_edges()));
 }
 BENCHMARK(BM_Preprocess_VsDbSize)->RangeMultiplier(2)->Range(16, 512);
 
@@ -65,10 +63,8 @@ void BM_Preprocess_VsAutomatonSize(benchmark::State& state) {
   }
   state.counters["transitions"] =
       static_cast<double>(query.num_transitions());
-  state.counters["ns_per_transition"] = benchmark::Counter(
-      static_cast<double>(query.num_transitions()),
-      benchmark::Counter::kIsIterationInvariantRate |
-          benchmark::Counter::kInvert);
+  state.counters["ns_per_transition"] = bench::NsPerUnit(
+      static_cast<double>(query.num_transitions()));
 }
 BENCHMARK(BM_Preprocess_VsAutomatonSize)->RangeMultiplier(2)->Range(2, 64);
 
@@ -89,10 +85,8 @@ void BM_Preprocess_Grid(benchmark::State& state) {
   }
   state.counters["edges"] = static_cast<double>(inst.db.num_edges());
   state.counters["states"] = static_cast<double>(query.num_states());
-  state.counters["ns_per_edge"] = benchmark::Counter(
-      static_cast<double>(inst.db.num_edges()),
-      benchmark::Counter::kIsIterationInvariantRate |
-          benchmark::Counter::kInvert);
+  state.counters["ns_per_edge"] = bench::NsPerUnit(
+      static_cast<double>(inst.db.num_edges()));
 }
 BENCHMARK(BM_Preprocess_Grid)->Arg(33)->Arg(48)->Arg(64);
 
@@ -114,10 +108,8 @@ void BM_Preprocess_EmbedInNoise(benchmark::State& state) {
   }
   state.counters["edges"] = static_cast<double>(inst.db.num_edges());
   state.counters["states"] = static_cast<double>(query.num_states());
-  state.counters["ns_per_edge"] = benchmark::Counter(
-      static_cast<double>(inst.db.num_edges()),
-      benchmark::Counter::kIsIterationInvariantRate |
-          benchmark::Counter::kInvert);
+  state.counters["ns_per_edge"] = bench::NsPerUnit(
+      static_cast<double>(inst.db.num_edges()));
 }
 BENCHMARK(BM_Preprocess_EmbedInNoise)->Arg(512)->Arg(2048)->Arg(8192);
 

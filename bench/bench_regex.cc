@@ -16,8 +16,7 @@
 #include "automaton/thompson.h"
 #include "bench_util.h"
 #include "core/annotate.h"
-#include "core/enumerator.h"
-#include "core/trimmed_index.h"
+#include "core/resumable_index.h"
 #include "regex/regex_parser.h"
 #include "workload/generators.h"
 #include "workload/queries.h"
@@ -54,8 +53,8 @@ void RunRegexPipeline(benchmark::State& state) {
                         : GlushkovNfa(*ast.value(), dict);
     transitions = nfa.num_transitions() + nfa.num_epsilon_transitions();
     Annotation ann = Annotate(snap, nfa, inst.source, inst.target);
-    TrimmedIndex index(snap, ann);
-    TrimmedEnumerator en(ann, index, inst.source, inst.target);
+    ResumableIndex index(snap, ann);
+    ResumableEnumerator en(ann, index, inst.source, inst.target);
     profile = bench::MeasureDelays(&en);
   }
   bench::ReportDelays(state, profile);

@@ -76,6 +76,16 @@ DelayProfile MeasureConstructionAndDelays(uint64_t max_outputs,
   return profile;
 }
 
+/// \brief A counter reporting nanoseconds per unit, for \p units units
+/// processed per iteration. kIsIterationInvariantRate | kInvert alone
+/// yields *seconds* per unit (rates are per second); scaling the count
+/// by 1e-9 turns the inverted rate into nanoseconds.
+inline benchmark::Counter NsPerUnit(double units) {
+  return benchmark::Counter(units * 1e-9,
+                            benchmark::Counter::kIsIterationInvariantRate |
+                                benchmark::Counter::kInvert);
+}
+
 /// \brief Publishes a delay profile as benchmark counters.
 inline void ReportDelays(benchmark::State& state,
                          const DelayProfile& profile) {

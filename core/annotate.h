@@ -29,7 +29,7 @@
 // seen bitmap. Downstream, levels being closure-saturated means a
 // labeled transition out of *any* member covers the "epsilon before the
 // edge" half of an effective step; the "epsilon after" half is already
-// inside the delta rows TrimmedIndex reuses, so TrimmedEnumerator's
+// inside the delta rows TrimmedIndex reuses, so the enumerator's
 // state-set propagation needs no change at all.
 //
 // The annotation also snapshots the compiled query (delta rows, final

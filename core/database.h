@@ -38,6 +38,7 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 namespace dsw {
@@ -125,9 +126,20 @@ class LabelIndex {
 
   /// Position of \p edge in the target pool — its rank in the global
   /// (src, label, insertion) order. Within one vertex this is exactly
-  /// the order the trimmed enumerator tries candidate edges in, which
-  /// makes it the sort/seek key of the resumable candidate queues.
+  /// the order the enumerator tries candidate edges in, which makes it
+  /// the seek key of ResumableIndex. Precondition: edge < num_edges().
   uint32_t PositionOf(uint32_t edge) const { return edge_pos_[edge]; }
+
+  size_t num_edges() const { return edge_pos_.size(); }
+
+  /// [begin, end) of \p v's out-edges in the target pool: the groups of
+  /// one vertex are emitted back to back, so its edges are contiguous.
+  /// {0, 0} for a vertex without out-edges.
+  std::pair<uint32_t, uint32_t> OutSpan(uint32_t v) const {
+    std::span<const Group> g = GroupsOf(v);
+    if (g.empty()) return {0, 0};
+    return {g.front().begin, g.back().end};
+  }
 
  private:
   friend class Database;
@@ -335,9 +347,16 @@ class Snapshot {
     return *index_;
   }
 
+  /// Shared ownership of the same adjacency, for structures that must
+  /// read it after the snapshot itself is gone (ResumableIndex's seeks).
+  std::shared_ptr<const LabelIndex> shared_label_index() const {
+    AssertFresh();
+    return index_;
+  }
+
   /// Rank of edge \p id in the label-stratified target pool (the
   /// (src, label, insertion) order; see LabelIndex::PositionOf) — the
-  /// candidate-queue seek key of the memoryless pipeline.
+  /// seek key of the memoryless pipeline (ResumableIndex::SeekGe).
   uint32_t tgt_idx(uint32_t id) const { return label_index().PositionOf(id); }
 
   uint32_t num_vertices() const {

@@ -87,21 +87,53 @@ AnnotationRepair DeltaAnnotate(const Snapshot& snap, const EdgeDelta& delta,
   assert(delta.first_new_vertex <= num_vertices);
   assert(delta.first_new_edge <= num_edges);
 
-  // Dense pair -> current level table, -1 = not annotated. This is the
-  // one O(V x |Q|) cost of the repair; everything past it is bounded by
-  // the touched region. (A single memset beats the full BFS's per-edge
-  // relaxation by orders of magnitude at low mutation rates.)
-  std::vector<int32_t> level_of(
-      static_cast<size_t>(num_vertices) * num_states, -1);
+  // Pair -> current level lookups, -1 = not annotated. Each annotated
+  // vertex links the (level, position) entries it appears at; the first
+  // lookup of a vertex lays its pairs out as a row of num_states levels
+  // (kRow in head), which the wave then reads and updates in O(1). Only
+  // the vertices the repair touches get rows, so nothing is sized
+  // |V| x |Q|: the one O(V) array is head, at 4 bytes a vertex. A row
+  // pointer is invalidated by the next row() of an unlaid vertex.
+  constexpr uint32_t kNone = UINT32_MAX;
+  constexpr uint32_t kRow = uint32_t{1} << 31;
+  struct Entry {
+    uint32_t level;
+    uint32_t pos;
+    uint32_t next;  // next entry of the same vertex, or kNone
+  };
+  std::vector<uint32_t> head(num_vertices, kNone);
+  std::vector<Entry> entries;
+  {
+    size_t num_entries = 0;
+    for (uint32_t i = 0; i <= old_lambda; ++i)
+      num_entries += ann->levels[i].size();
+    assert(num_entries < kRow && "annotation too large for the entry ids");
+    entries.reserve(num_entries);
+  }
   for (uint32_t i = 0; i <= old_lambda; ++i) {
     const LevelSets& level = ann->levels[i];
     for (size_t vi = 0; vi < level.size(); ++vi) {
-      int32_t* row = &level_of[static_cast<size_t>(level.vertex(vi)) *
-                               num_states];
-      level.states(vi).ForEach(
-          [&](uint32_t q) { row[q] = static_cast<int32_t>(i); });
+      uint32_t& h = head[level.vertex(vi)];
+      entries.push_back(Entry{i, static_cast<uint32_t>(vi), h});
+      h = static_cast<uint32_t>(entries.size() - 1);
     }
   }
+  std::vector<int32_t> rows;
+  auto row = [&](uint32_t v) -> int32_t* {
+    uint32_t h = head[v];
+    if (h == kNone || !(h & kRow)) {
+      const size_t r = rows.size() / num_states;
+      rows.resize(rows.size() + num_states, -1);
+      for (; h != kNone; h = entries[h].next) {
+        const Entry& en = entries[h];
+        ann->levels[en.level].states(en.pos).ForEach([&](uint32_t q) {
+          rows[r * num_states + q] = static_cast<int32_t>(en.level);
+        });
+      }
+      head[v] = kRow | static_cast<uint32_t>(r);
+    }
+    return &rows[static_cast<size_t>(head[v] & ~kRow) * num_states];
+  };
 
   // Proposed pair moves, bucketed by target level. Seeds: each inserted
   // edge (u, l, v) relaxes u's *old* annotated states through l — the
@@ -114,10 +146,10 @@ AnnotationRepair DeltaAnnotate(const Snapshot& snap, const EdgeDelta& delta,
     const Edge& edge = db.edge(e);
     if (!cd.HasLabel(edge.label)) continue;
     const StateSetView sources = cd.Sources(edge.label);
-    const int32_t* row =
-        &level_of[static_cast<size_t>(edge.src) * num_states];
+    if (head[edge.src] == kNone) continue;  // src not annotated
+    const int32_t* src_row = row(edge.src);
     for (uint32_t q = 0; q < num_states; ++q) {
-      const int32_t lvl = row[q];
+      const int32_t lvl = src_row[q];
       if (lvl < 0 || static_cast<uint32_t>(lvl) + 1 > old_lambda) continue;
       if (!sources.Test(q)) continue;
       state_set_detail::ForEachBit(
@@ -138,7 +170,7 @@ AnnotationRepair DeltaAnnotate(const Snapshot& snap, const EdgeDelta& delta,
   for (uint32_t j = 1; j <= old_lambda; ++j) {
     accepted.clear();
     for (const auto& [v, q] : bucket[j]) {
-      int32_t& cur = level_of[static_cast<size_t>(v) * num_states + q];
+      int32_t& cur = row(v)[q];
       if (cur >= 0 && cur <= static_cast<int32_t>(j)) continue;
       if (cur >= 0)
         removes.push_back(PairEvent{static_cast<uint32_t>(cur), v, q});
@@ -166,10 +198,10 @@ AnnotationRepair DeltaAnnotate(const Snapshot& snap, const EdgeDelta& delta,
   // only have shrunk.
   int32_t new_lambda = INT32_MAX;
   {
-    const int32_t* row =
-        &level_of[static_cast<size_t>(ann->target) * num_states];
+    const int32_t* target_row = row(ann->target);
     ann->final_states.ForEach([&](uint32_t q) {
-      if (row[q] >= 0 && row[q] < new_lambda) new_lambda = row[q];
+      const int32_t lvl = target_row[q];
+      if (lvl >= 0 && lvl < new_lambda) new_lambda = lvl;
     });
   }
   assert(new_lambda <= static_cast<int32_t>(old_lambda) &&
@@ -334,18 +366,16 @@ class DeltaTrimmer {
       if (fin.Any()) out.useful_[lambda].Append(ann.target, fin.words());
     }
 
-    // Sources of the inserted edges: their candidate lists gained an
-    // edge at every level they appear on, so they are dirty everywhere.
-    std::vector<uint32_t> new_sources;
+    // The inserted edges, as (src, dst). One changes its source's
+    // candidate list at level i only when its dst is useful at i + 1 —
+    // TrimVertex skips every other edge — so only then is the source
+    // dirty at i.
+    std::vector<std::pair<uint32_t, uint32_t>> new_edges;
     {
       const Database& db = snap.db();
       const uint32_t num_edges = static_cast<uint32_t>(snap.num_edges());
       for (uint32_t e = delta.first_new_edge; e < num_edges; ++e)
-        new_sources.push_back(db.src(e));
-      std::sort(new_sources.begin(), new_sources.end());
-      new_sources.erase(
-          std::unique(new_sources.begin(), new_sources.end()),
-          new_sources.end());
+        new_edges.emplace_back(db.src(e), db.dst(e));
     }
 
     const LabelIndex& adj = snap.label_index();
@@ -365,13 +395,16 @@ class DeltaTrimmer {
       // A vertex must be re-trimmed when its own annotation changed,
       // when an out-neighbor's useful set at i + 1 changed (membership
       // included — positions shift for everyone, but *content* changes
-      // only reach in-neighbors), or when it gained an out-edge. All
-      // other vertices produce byte-identical TrimVertex output modulo
-      // the next-position shift, which the copy remaps below.
+      // only reach in-neighbors), or when it gained an out-edge into a
+      // useful vertex at i + 1. All other vertices produce byte-identical
+      // TrimVertex output modulo the next-position shift, which the copy
+      // remaps below.
       dirty = rep.changed[i];
       for (uint32_t w : changed_next)
         for (uint32_t u : ctx.InNeighbors(w)) dirty.push_back(u);
-      dirty.insert(dirty.end(), new_sources.begin(), new_sources.end());
+      for (const auto& [src, dst] : new_edges)
+        if (next_useful.FindIndex(dst) != LevelSets::npos)
+          dirty.push_back(src);
       std::sort(dirty.begin(), dirty.end());
       dirty.erase(std::unique(dirty.begin(), dirty.end()), dirty.end());
 

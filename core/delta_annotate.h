@@ -57,10 +57,10 @@
 namespace dsw {
 
 /// Reverse label-free adjacency (in-neighbor CSR) of one snapshot.
-/// Built once per InstallSnapshot and shared across every entry repair:
-/// the trim patcher needs "which vertices have an edge into w" to
-/// propagate usefulness changes backward, and the forward LabelIndex
-/// cannot answer that. O(|E|) build; parallel edges appear as duplicate
+/// Built once per InstallSnapshot and shared, read-only, across every
+/// entry repair, which may run concurrently: the trim patcher needs
+/// "which vertices have an edge into w" to propagate usefulness changes
+/// backward, and the forward LabelIndex cannot answer that. O(|E|) build; parallel edges appear as duplicate
 /// in-neighbors (the dirty sets dedup downstream).
 class DeltaContext {
  public:

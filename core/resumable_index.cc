@@ -1,100 +1,69 @@
 #include "core/resumable_index.h"
 
+#include <algorithm>
+#include <cassert>
+#include <span>
 #include <utility>
 
 namespace dsw {
 
 ResumableIndex::ResumableIndex(const Snapshot& snap, const Annotation& ann,
                                const AnnotateOptions& opts)
-    : trimmed_(snap, ann, opts) {
-  BuildQueues(snap, ann);
+    : trimmed_(snap, ann, opts), adj_(snap.shared_label_index()) {
+  BuildRanks();
 }
 
-ResumableIndex::ResumableIndex(const Snapshot& snap, const Annotation& ann,
+ResumableIndex::ResumableIndex(const Snapshot& snap,
+                               [[maybe_unused]] const Annotation& ann,
                                TrimmedIndex trimmed)
-    : trimmed_(std::move(trimmed)) {
-  BuildQueues(snap, ann);
+    : trimmed_(std::move(trimmed)), adj_(snap.shared_label_index()) {
+  assert(trimmed_.num_levels() ==
+             (ann.reachable() ? static_cast<uint32_t>(ann.lambda) + 1 : 0u) &&
+         "trimmed index does not describe this annotation");
+  BuildRanks();
 }
 
-void ResumableIndex::BuildQueues(const Snapshot& snap,
-                                 const Annotation& ann) {
-  if (!ann.reachable() || trimmed_.empty()) return;
-  const uint32_t lambda = static_cast<uint32_t>(ann.lambda);
-  const LabelIndex& adj = snap.label_index();
+void ResumableIndex::BuildRanks() {
+  if (trimmed_.empty()) return;
+  const uint32_t lambda = trimmed_.num_levels() - 1;
 
-  edge_tgt_.resize(snap.num_edges());
-  for (uint32_t e = 0; e < edge_tgt_.size(); ++e)
-    edge_tgt_[e] = adj.PositionOf(e);
-
-  // Every useful vertex below level lambda owns one queue (the trimmed
-  // sweep only records a vertex as useful when it has >= 1 candidate).
-  level_base_.assign(lambda + 1, 0);
-  uint32_t n = 0;
-  for (uint32_t i = 0; i < lambda; ++i) {
-    level_base_[i] = n;
-    n += static_cast<uint32_t>(trimmed_.UsefulLevel(i).size());
-  }
-  level_base_[lambda] = n;
-  level_.resize(n);
-  vertex_.resize(n);
-  cand_begin_.resize(n);
-  cand_end_.resize(n);
-  span_begin_.resize(n);
-  span_len_.resize(n);
-  rank_begin_.resize(n);
-
+  // Sizing pass: every useful vertex below level lambda owns one rank
+  // array as long as its out-degree, so the pool is allocated exactly.
+  rank_off_.resize(lambda);
+  uint32_t total = 0;
   for (uint32_t i = 0; i < lambda; ++i) {
     const LevelSets& lvl = trimmed_.UsefulLevel(i);
-    for (size_t vi = 0; vi < lvl.size(); ++vi) {
-      const uint32_t s = level_base_[i] + static_cast<uint32_t>(vi);
-      const uint32_t v = lvl.vertex(vi);
-      level_[s] = i;
-      vertex_[s] = v;
+    rank_off_[i].resize(lvl.size());
+    for (size_t pos = 0; pos < lvl.size(); ++pos) {
+      const auto [begin, end] = adj_->OutSpan(lvl.vertex(pos));
+      rank_off_[i][pos] = total;
+      total += end - begin;
+    }
+  }
+  rank_pool_.resize(total);
 
-      // The vertex's out-edges sit contiguously in the target pool
-      // (BuildLabelIndex emits them vertex by vertex); the span is the
-      // domain of the slot's rank array.
-      std::span<const LabelIndex::Group> groups = adj.GroupsOf(v);
-      const uint32_t sb = groups.front().begin;
-      span_begin_[s] = sb;
-      span_len_[s] = groups.back().end - sb;
-
-      // The trimmed candidate list of (i, v) is already ascending in
-      // target-pool rank: the sweep walks groups in label order and
-      // targets in pool order.
-      cand_begin_[s] = static_cast<uint32_t>(pool_.size());
-      for (const TrimmedIndex::CandidateEdge& ce :
-           trimmed_.CandidatesAt(i, vi)) {
-        assert((pool_.size() == cand_begin_[s] ||
-                pool_.back().tgt_idx < edge_tgt_[ce.edge]) &&
-               "candidate list not ascending in target-pool rank");
-        pool_.push_back(Candidate{ce.edge, ce.dst, ce.label, ce.next_pos,
-                                  edge_tgt_[ce.edge]});
-      }
-      cand_end_[s] = static_cast<uint32_t>(pool_.size());
-
-      // rank[k] = #queue entries with (tgt_idx - span_begin) < k: one
-      // merge over the span, O(out-degree) per slot.
-      rank_begin_[s] = static_cast<uint32_t>(rank_pool_.size());
-      const uint32_t len = cand_end_[s] - cand_begin_[s];
+  // rank[k] = #candidates with (tgt_idx - span_begin) < k: one merge over
+  // the span, O(out-degree) per slot.
+  for (uint32_t i = 0; i < lambda; ++i) {
+    const LevelSets& lvl = trimmed_.UsefulLevel(i);
+    for (size_t pos = 0; pos < lvl.size(); ++pos) {
+      const auto [begin, end] = adj_->OutSpan(lvl.vertex(pos));
+      std::span<const TrimmedIndex::CandidateEdge> cand =
+          trimmed_.CandidatesAt(i, pos);
+      assert(std::is_sorted(cand.begin(), cand.end(),
+                            [&](const auto& a, const auto& b) {
+                              return adj_->PositionOf(a.edge) <
+                                     adj_->PositionOf(b.edge);
+                            }) &&
+             "candidate list not ascending in target-pool rank");
+      uint32_t* rank = rank_pool_.data() + rank_off_[i][pos];
       uint32_t c = 0;
-      for (uint32_t k = 0; k < span_len_[s]; ++k) {
-        while (c < len && pool_[cand_begin_[s] + c].tgt_idx - sb < k) ++c;
-        rank_pool_.push_back(c);
+      for (uint32_t k = begin; k < end; ++k) {
+        while (c < cand.size() && adj_->PositionOf(cand[c].edge) < k) ++c;
+        rank[k - begin] = c;
       }
     }
   }
-
-  // CSR of "slots of vertex v" for the per-pair SlotOf lookup.
-  vertex_slot_off_.assign(snap.num_vertices() + 1, 0);
-  for (uint32_t s = 0; s < n; ++s) ++vertex_slot_off_[vertex_[s] + 1];
-  for (uint32_t v = 0; v < snap.num_vertices(); ++v)
-    vertex_slot_off_[v + 1] += vertex_slot_off_[v];
-  vertex_slots_.resize(n);
-  std::vector<uint32_t> cursor(vertex_slot_off_.begin(),
-                               vertex_slot_off_.end() - 1);
-  for (uint32_t s = 0; s < n; ++s)
-    vertex_slots_[cursor[vertex_[s]]++] = s;
 }
 
 }  // namespace dsw

@@ -14,7 +14,7 @@
 // O(lambda x |A|)).
 //
 // Answers, and their order, are bit-identical to the general pipeline's
-// (tests/exec_tier_test.cc oracles them against TrimmedEnumerator):
+// (tests/exec_tier_test.cc oracles them against ResumableEnumerator):
 // candidate edges are collected in the same label-stratified
 // LabelIndex order the trim sweep uses, and with R always equal to the
 // full useful set the general DFS also visits candidates strictly in

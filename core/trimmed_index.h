@@ -84,8 +84,8 @@ class TrimmedIndex {
   /// The Theorem 2 certificate view of one useful (level, vertex): the
   /// per-state next-usable-candidate arrays, with the useful set as the
   /// slot domain. Positions are relative to the vertex's candidate list
-  /// (Candidates/CandidatesAt spans and the resumable queues index
-  /// identically).
+  /// (the Candidates/CandidatesAt spans, the enumerator's cursors and
+  /// ResumableIndex::SeekGe results all index it identically).
   struct BList {
     const uint32_t* nxt = nullptr;  // useful.Count() rows, num_cand+1 each
     uint32_t num_cand = 0;
@@ -194,8 +194,8 @@ class TrimmedIndex {
   uint32_t num_levels() const { return static_cast<uint32_t>(useful_.size()); }
 
   /// The whole useful level — sorted vertices with their state sets.
-  /// ResumableIndex walks these to lay out its per-(level, vertex)
-  /// candidate queues without re-running the backward sweep.
+  /// ResumableIndex walks these to lay out its per-(level, vertex) rank
+  /// arrays without re-running the backward sweep.
   const LevelSets& UsefulLevel(uint32_t level) const {
     AssertFresh();
     return useful_[level];

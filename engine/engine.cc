@@ -1,7 +1,9 @@
 #include "engine/engine.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
+#include <future>
 #include <list>
 #include <unordered_map>
 #include <utility>
@@ -172,14 +174,32 @@ void QueryEngine::InstallSnapshot(Snapshot snap) {
 
   // Repair each extracted plan against the new snapshot and re-insert
   // it under the new generation's key. One reverse CSR serves them all.
+  // The repairs are independent pure reads of (snap, delta, ctx, old
+  // plan), and an install's cost grows with the number of cached plans,
+  // so they run on as many threads as the engine has workers.
   DeltaContext ctx(snap);
+  std::vector<RepairedPlan> repairs(old_entries.size());
+  {
+    std::atomic<size_t> next{0};
+    auto repair_some = [&] {
+      for (size_t i; (i = next.fetch_add(1)) < old_entries.size();)
+        repairs[i] = RepairPlan(snap, delta, ctx, *old_entries[i].second);
+    };
+    // std::async futures join on destruction, exception paths included.
+    std::vector<std::future<void>> helpers;
+    for (size_t t = 1; t < std::min(workers_.size(), old_entries.size()); ++t)
+      helpers.push_back(std::async(std::launch::async, repair_some));
+    repair_some();
+    for (std::future<void>& h : helpers) h.get();
+  }
   std::unordered_map<const PreparedQuery*,
                      std::shared_ptr<const PreparedQuery>>
       remap;           // old plan -> upgraded plan (all upgrades)
   uint64_t upgraded = 0;
   std::vector<const PreparedQuery*> order_broken;  // lambda changed
-  for (auto& [key, old] : old_entries) {
-    RepairedPlan repaired = RepairPlan(snap, delta, ctx, *old);
+  for (size_t i = 0; i < old_entries.size(); ++i) {
+    auto& [key, old] = old_entries[i];
+    RepairedPlan& repaired = repairs[i];
     if (!repaired.value) continue;
     ++upgraded;
     remap.emplace(old.get(), repaired.value);
@@ -234,7 +254,7 @@ QueryId QueryEngine::Prepare(const Nfa& query, uint32_t source,
   CanonicalAutomaton canon = CanonicalizeAutomaton(query);
   PlanKey key{&snap.db(), snap.generation(), canon.hash,
               std::move(canon.bytes), source, target};
-  // The expensive build (annotate + trim + queue construction) runs
+  // The expensive build (annotate + trim + rank arrays) runs
   // outside both the engine and the cache lock: misses on different
   // keys proceed in parallel, all against the same frozen snapshot;
   // misses on the SAME key build once (single-flight).

@@ -155,7 +155,7 @@ class QueryEngine {
   /// against the previous install is a known insert-only suffix
   /// (Snapshot::DeltaFrom), the previous generation's plan-cache entries
   /// are *upgraded* — annotation repaired by the bounded re-relaxation
-  /// wave, trimmed/B-list structure patched, queues re-laid — and
+  /// wave, trimmed/B-list structure patched, rank arrays rebuilt — and
   /// re-inserted under the new generation's keys instead of dropped.
   /// Prepared queries and sessions are re-pointed at the upgraded plans;
   /// a parked session survives when its plan's enumeration order is an
@@ -164,7 +164,8 @@ class QueryEngine {
   /// correct suffix of the NEW answer order). Plans whose lambda shrank
   /// still upgrade — new sessions enumerate the new order — but their
   /// parked sessions retire lazily as before. Repairs run on the calling
-  /// (control) thread.
+  /// (control) thread plus helpers, num_threads() at once in total: an
+  /// install repairs every cached plan, so its cost grows with them.
   void InstallSnapshot(Snapshot snap);
 
   /// Resolves the prepared structure for (query, source, target)

@@ -100,8 +100,8 @@ struct PreparedQuery {
 
   /// Builds on repaired structures — the incremental InstallSnapshot
   /// path: \p a and \p trimmed were patched by core/delta_annotate
-  /// against an insert-only edge delta, so only the resumable queue
-  /// layout is rebuilt here; no product BFS, no backward sweep. \p tier
+  /// against an insert-only edge delta, so only the resumable rank
+  /// arrays are rebuilt here; no product BFS, no backward sweep. \p tier
   /// is the upgraded plan's tier, re-derived by the caller (the delta
   /// may have added a second label, demoting a kSimple plan).
   PreparedQuery(Snapshot s, Annotation a, TrimmedIndex trimmed,

@@ -7,8 +7,7 @@
 #include <vector>
 
 #include "core/annotate.h"
-#include "core/enumerator.h"
-#include "core/trimmed_index.h"
+#include "core/resumable_index.h"
 #include "workload/queries.h"
 
 namespace dsw {
@@ -18,9 +17,9 @@ size_t CountAnswers(Database& db, const Nfa& query, uint32_t s,
                     uint32_t t) {
   Snapshot snap = db.Freeze();
   Annotation ann = Annotate(snap, query, s, t);
-  TrimmedIndex index(snap, ann);
+  ResumableIndex index(snap, ann);
   size_t n = 0;
-  for (TrimmedEnumerator en(ann, index, s, t); en.Valid(); en.Next())
+  for (ResumableEnumerator en(ann, index, s, t); en.Valid(); en.Next())
     ++n;
   return n;
 }
@@ -63,11 +62,11 @@ TEST(AnnotateTest, UnreachableTargetYieldsEmptyEnumeration) {
   EXPECT_FALSE(ann.reachable());
   EXPECT_EQ(ann.lambda, -1);
 
-  TrimmedIndex index(db.Freeze(), ann);
-  EXPECT_EQ(index.num_slots(), 0u);
+  ResumableIndex index(db.Freeze(), ann);
+  EXPECT_EQ(index.trimmed().num_slots(), 0u);
   EXPECT_TRUE(index.empty());
 
-  TrimmedEnumerator en(ann, index, s, t);
+  ResumableEnumerator en(ann, index, s, t);
   EXPECT_FALSE(en.Valid());
 }
 
@@ -80,8 +79,8 @@ TEST(AnnotateTest, LabelMismatchIsUnreachableToo) {
   db.AddEdge(s, l1, t);
   Annotation ann = Annotate(db.Freeze(), StaircaseNfa(1, 1), s, t);  // only l0
   EXPECT_FALSE(ann.reachable());
-  TrimmedIndex index(db.Freeze(), ann);
-  TrimmedEnumerator en(ann, index, s, t);
+  ResumableIndex index(db.Freeze(), ann);
+  ResumableEnumerator en(ann, index, s, t);
   EXPECT_FALSE(en.Valid());
 }
 
@@ -103,8 +102,8 @@ TEST(AnnotateTest, SelfLoopOnShortestWalk) {
   ASSERT_TRUE(ann.reachable());
   EXPECT_EQ(ann.lambda, 3);
 
-  TrimmedIndex index(db.Freeze(), ann);
-  TrimmedEnumerator en(ann, index, s, t);
+  ResumableIndex index(db.Freeze(), ann);
+  ResumableEnumerator en(ann, index, s, t);
   ASSERT_TRUE(en.Valid());
   EXPECT_EQ(en.walk().edges, (std::vector<uint32_t>{loop, loop, cross}));
   en.Next();
@@ -131,8 +130,8 @@ TEST(AnnotateTest, EmptyWalkWhenSourceIsTargetAndQueryAcceptsEpsilon) {
   ASSERT_TRUE(ann.reachable());
   EXPECT_EQ(ann.lambda, 0);
 
-  TrimmedIndex index(db.Freeze(), ann);
-  TrimmedEnumerator en(ann, index, s, s);
+  ResumableIndex index(db.Freeze(), ann);
+  ResumableEnumerator en(ann, index, s, s);
   ASSERT_TRUE(en.Valid());
   EXPECT_TRUE(en.walk().edges.empty());
   en.Next();
@@ -240,8 +239,8 @@ TEST(AnnotateTest, AnnotationSnapshotsTheQuery) {
     Nfa query = StaircaseNfa(1, 1);  // destroyed before use below
     ann = Annotate(db.Freeze(), query, s, t);
   }
-  TrimmedIndex index(db.Freeze(), ann);
-  TrimmedEnumerator en(ann, index, s, t);
+  ResumableIndex index(db.Freeze(), ann);
+  ResumableEnumerator en(ann, index, s, t);
   ASSERT_TRUE(en.Valid());
   en.Next();
   EXPECT_FALSE(en.Valid());

@@ -9,10 +9,10 @@
 //     between any two outputs — and stay *flat* on the adversarial
 //     dead-candidate family as the fanout grows 4 -> 512, where the
 //     pre-certificate trial-filter baseline degrades linearly.
-//  3. Order: the certificate enumerator, the pre-change trial-filter
-//     enumerator and the memoryless ResumableEnumerator emit
-//     byte-identical answer sequences on the property-suite workload
-//     families (answer-for-answer compatibility of the refactor).
+//  3. Order: the certificate enumerator (ResumableEnumerator) and the
+//     pre-change trial-filter enumerator emit byte-identical answer
+//     sequences on the property-suite workload families
+//     (answer-for-answer compatibility of the refactor).
 
 #include <gtest/gtest.h>
 
@@ -25,7 +25,6 @@
 #include "automaton/thompson.h"
 #include "baseline/trial_filter_enumerator.h"
 #include "core/annotate.h"
-#include "core/enumerator.h"
 #include "core/resumable_index.h"
 #include "core/trimmed_index.h"
 #include "regex/regex_parser.h"
@@ -154,8 +153,8 @@ void ExpectPerOutputBound(Instance inst, const Nfa& query,
   Snapshot snap = inst.db.Freeze();
   Annotation ann = Annotate(snap, query, inst.source, inst.target);
   ASSERT_TRUE(ann.reachable());
-  TrimmedIndex index(snap, ann);
-  TrimmedEnumerator en(ann, index, inst.source, inst.target);
+  ResumableIndex index(snap, ann);
+  ResumableEnumerator en(ann, index, inst.source, inst.target);
   OpDeltas d = DrainCountingOps(en);
   ASSERT_GT(d.outputs, 0u);
   const uint64_t lambda = static_cast<uint64_t>(ann.lambda);
@@ -190,14 +189,15 @@ TEST(DelayBoundTest, DeadFanoutOpsStayFlatWhereTrialFilterDegrades) {
     Snapshot snap = inst.db.Freeze();
     Annotation ann = Annotate(snap, query, inst.source, inst.target);
     ASSERT_TRUE(ann.reachable());
-    TrimmedIndex index(snap, ann);
+    ResumableIndex index(snap, ann);
 
-    TrimmedEnumerator en(ann, index, inst.source, inst.target);
+    ResumableEnumerator en(ann, index, inst.source, inst.target);
     OpDeltas ops = DrainCountingOps(en);
     EXPECT_EQ(ops.outputs, d + 1) << "one answer per fanout edge + one";
     max_ops.push_back(ops.MaxTotal());
 
-    TrialFilterEnumerator ref(ann, index, inst.source, inst.target);
+    TrialFilterEnumerator ref(ann, index.trimmed(), inst.source,
+                              inst.target);
     uint64_t ref_max = 0;
     uint64_t last = ref.stats().row_ors;
     while (ref.Valid()) {
@@ -220,8 +220,8 @@ TEST(DelayBoundTest, DeadFanoutOpsStayFlatWhereTrialFilterDegrades) {
   EXPECT_LT(max_ops[2] * 4, ref_max_ops[2]);
 }
 
-// The memoryless enumerator shares the certificate machinery: same
-// flatness on the same family (full-scan mode).
+// Same flatness on the same family when every op the enumerator counts
+// (OpStats::total(): candidates taken and seeks too) is charged.
 TEST(DelayBoundTest, ResumableDeadFanoutOpsStayFlat) {
   constexpr uint32_t kTail = 8;
   const Nfa query = ForkChainNfa(kTail);
@@ -250,25 +250,21 @@ TEST(DelayBoundTest, ResumableDeadFanoutOpsStayFlat) {
 
 // ---------------------------------------------------------- 3. order
 
-// The refactor must be answer-for-answer invisible: certificate
-// enumerator, pre-change trial-filter enumerator and the memoryless
-// enumerator agree on the full sequence (order included).
+// The certificate machinery must be answer-for-answer invisible: the
+// certificate enumerator and the pre-change trial-filter enumerator
+// agree on the full sequence (order included).
 void ExpectIdenticalSequences(Instance inst, const Nfa& query,
                               const char* what) {
   SCOPED_TRACE(what);
   Snapshot snap = inst.db.Freeze();
   Annotation ann = Annotate(snap, query, inst.source, inst.target);
-  TrimmedIndex tindex(snap, ann);
-  ResumableIndex rindex(snap, ann);
+  ResumableIndex index(snap, ann);
 
-  TrialFilterEnumerator ref(ann, tindex, inst.source, inst.target);
+  TrialFilterEnumerator ref(ann, index.trimmed(), inst.source, inst.target);
   const WalkSeq expected = Drain(ref);
 
-  TrimmedEnumerator trimmed(ann, tindex, inst.source, inst.target);
-  EXPECT_EQ(Drain(trimmed), expected);
-
-  ResumableEnumerator resumable(ann, rindex, inst.source, inst.target);
-  EXPECT_EQ(Drain(resumable), expected);
+  ResumableEnumerator en(ann, index, inst.source, inst.target);
+  EXPECT_EQ(Drain(en), expected);
 }
 
 Nfa CompileRegex(const std::string& pattern, Database* db, bool thompson) {

@@ -1,7 +1,7 @@
 // The concurrent query engine, pinned from four sides:
 //
 //  1. Correctness: batches pumped through the worker pool concatenate
-//     to exactly the single-threaded TrimmedEnumerator sequence (order
+//     to exactly the single-threaded ResumableEnumerator sequence (order
 //     included), for every session, under every batch size.
 //  2. Concurrency: N client threads park and SeekAfter-resume random
 //     sessions off ONE shared snapshot while the pool's workers run
@@ -30,10 +30,8 @@
 #include <vector>
 
 #include "core/annotate.h"
-#include "core/enumerator.h"
 #include "core/resumable_enumerator.h"
 #include "core/resumable_index.h"
-#include "core/trimmed_index.h"
 #include "engine/engine.h"
 #include "workload/generators.h"
 #include "workload/queries.h"
@@ -55,9 +53,9 @@ EdgeSeq Edges(const std::vector<Walk>& walks) {
 EdgeSeq Oracle(const Snapshot& snap, const Nfa& query, uint32_t source,
                uint32_t target) {
   Annotation ann = Annotate(snap, query, source, target);
-  TrimmedIndex index(snap, ann);
+  ResumableIndex index(snap, ann);
   EdgeSeq out;
-  for (TrimmedEnumerator en(ann, index, source, target); en.Valid();
+  for (ResumableEnumerator en(ann, index, source, target); en.Valid();
        en.Next())
     out.push_back(en.walk().edges);
   return out;
@@ -292,13 +290,18 @@ TEST(QueryEngineTest, ConcurrentDrainsOfOneSessionPartitionTheAnswers) {
 // parked session in place. The session resumes — on the repaired
 // index, against the new snapshot — the exact suffix of the NEW
 // enumeration order after its last delivered walk, and is never
-// retired.
+// retired. Two more cached plans make the install repair several plans
+// at once (one per worker thread); each must serve the new snapshot's
+// answers exactly.
 TEST(QueryEngineTest, ParkedSessionsSurviveInsertOnlyInstall) {
   Instance inst = BubbleChain(6, 2);
   Nfa query = StaircaseNfa(2, 2);
+  const std::vector<Nfa> others = {StaircaseNfa(1, 2), CompleteNfa(3, 2)};
   Snapshot snap = inst.db.Freeze();
   QueryEngine engine(2);
   engine.InstallSnapshot(snap);
+  for (const Nfa& other : others)
+    engine.Prepare(other, inst.source, inst.target);
   QueryId q = engine.Prepare(query, inst.source, inst.target);
   SessionId s = engine.OpenSession(q);
   PumpResult first = engine.Pump(s, 5);
@@ -317,9 +320,17 @@ TEST(QueryEngineTest, ParkedSessionsSurviveInsertOnlyInstall) {
   engine.InstallSnapshot(snap2);
 
   EngineStats stats = engine.Stats();
-  EXPECT_GT(stats.plans_upgraded, 0u);
+  EXPECT_EQ(stats.plans_upgraded, 1 + others.size());
   EXPECT_GT(stats.sessions_upgraded, 0u);
   EXPECT_EQ(stats.sessions_retired, 0u);
+  for (const Nfa& other : others) {
+    PumpResult all = engine.Drain(
+        engine.OpenSession(engine.Prepare(other, inst.source, inst.target)),
+        7);
+    EXPECT_EQ(all.status, PumpStatus::kExhausted);
+    EXPECT_EQ(Edges(all.walks),
+              Oracle(snap2, other, inst.source, inst.target));
+  }
 
   // Suffix check against the new-snapshot oracle: everything after the
   // session's last delivered walk, in the new order. The duplicated

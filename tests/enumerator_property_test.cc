@@ -1,4 +1,4 @@
-// Property test: on randomized small instances, the trimmed enumerator
+// Property test: on randomized small instances, the enumerator
 // must agree with the naive product-path baseline as a *set* of walks,
 // emit zero duplicates, and emit only walks of length lambda. The naive
 // baseline is independent enough (it never builds the trimmed structure
@@ -12,8 +12,7 @@
 
 #include "baseline/naive.h"
 #include "core/annotate.h"
-#include "core/enumerator.h"
-#include "core/trimmed_index.h"
+#include "core/resumable_index.h"
 #include "workload/generators.h"
 #include "workload/queries.h"
 
@@ -29,12 +28,12 @@ void ExpectTrimmedMatchesNaive(Instance& inst, const Nfa& query,
   ASSERT_FALSE(naive.budget_exhausted);
 
   Annotation ann = Annotate(snap, query, inst.source, inst.target);
-  TrimmedIndex index(snap, ann);
+  ResumableIndex index(snap, ann);
   EXPECT_EQ(ann.lambda, naive.lambda);
 
   std::set<std::vector<uint32_t>> trimmed_set;
   size_t emitted = 0;
-  for (TrimmedEnumerator en(ann, index, inst.source, inst.target);
+  for (ResumableEnumerator en(ann, index, inst.source, inst.target);
        en.Valid(); en.Next()) {
     ++emitted;
     EXPECT_EQ(en.walk().length(), static_cast<size_t>(ann.lambda));
@@ -83,7 +82,7 @@ TEST(EnumeratorPropertyTest, MatchesNaiveOnGrids) {
 TEST(EnumeratorPropertyTest, NaiveCountsDuplicatesTrimmedAvoids) {
   // BubbleChain(4) under the width-2 staircase: 16 answers, each with
   // C(8, 2) = 28 accepting runs; the naive baseline must report the
-  // excess as duplicates while the trimmed enumerator emits 16 walks.
+  // excess as duplicates while the enumerator emits 16 walks.
   Instance inst = BubbleChain(4, 2);
   Nfa query = StaircaseNfa(2, 2);
   Snapshot snap = inst.db.Freeze();
@@ -93,9 +92,9 @@ TEST(EnumeratorPropertyTest, NaiveCountsDuplicatesTrimmedAvoids) {
   EXPECT_EQ(naive.duplicates, 16u * 28 - 16u);
 
   Annotation ann = Annotate(snap, query, inst.source, inst.target);
-  TrimmedIndex index(snap, ann);
+  ResumableIndex index(snap, ann);
   size_t emitted = 0;
-  for (TrimmedEnumerator en(ann, index, inst.source, inst.target);
+  for (ResumableEnumerator en(ann, index, inst.source, inst.target);
        en.Valid(); en.Next())
     ++emitted;
   EXPECT_EQ(emitted, 16u);

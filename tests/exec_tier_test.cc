@@ -24,7 +24,6 @@
 
 #include "automaton/thompson.h"
 #include "core/annotate.h"
-#include "core/enumerator.h"
 #include "core/query_traits.h"
 #include "core/resumable_enumerator.h"
 #include "core/resumable_index.h"
@@ -126,39 +125,30 @@ void ExpectTiersBitIdentical(Instance& inst, const Nfa& query) {
       Annotate(snap, query, inst.source, inst.target, forced);
   ExpectAnnotationsEqual(fast_ann, slow_ann);
 
-  TrimmedIndex fast_index(snap, fast_ann);
-  TrimmedIndex slow_index(snap, slow_ann, forced);
-  ExpectTrimmedEqual(fast_index, slow_index);
+  ResumableIndex fast_index(snap, fast_ann);
+  ResumableIndex slow_index(snap, slow_ann, forced);
+  ExpectTrimmedEqual(fast_index.trimmed(), slow_index.trimmed());
 
-  TrimmedEnumerator fast_en(fast_ann, fast_index, inst.source, inst.target);
-  TrimmedEnumerator slow_en(slow_ann, slow_index, inst.source, inst.target,
-                            /*force_multi_word=*/true);
+  ResumableEnumerator fast_en(fast_ann, fast_index, inst.source,
+                              inst.target);
+  ResumableEnumerator slow_en(slow_ann, slow_index, inst.source,
+                              inst.target, /*force_multi_word=*/true);
   std::vector<Walk> fast = DrainAll(&fast_en);
   std::vector<Walk> slow = DrainAll(&slow_en);
   ExpectSameWalks(fast, slow);
   // The Theorem 2 op accounting must not depend on the kernel tier.
   EXPECT_EQ(fast_en.stats().row_ors, slow_en.stats().row_ors);
   EXPECT_EQ(fast_en.stats().probes, slow_en.stats().probes);
-
-  ResumableIndex fast_ri(snap, fast_ann);
-  ResumableIndex slow_ri(snap, slow_ann, forced);
-  ResumableEnumerator fast_ren(fast_ann, fast_ri, inst.source, inst.target);
-  ResumableEnumerator slow_ren(slow_ann, slow_ri, inst.source, inst.target,
-                               /*force_multi_word=*/true);
-  std::vector<Walk> fast_r = DrainAll(&fast_ren);
-  std::vector<Walk> slow_r = DrainAll(&slow_ren);
-  ExpectSameWalks(fast_r, fast);  // and both match the stateful order
-  ExpectSameWalks(fast_r, slow_r);
-  EXPECT_EQ(fast_ren.stats().total(), slow_ren.stats().total());
+  EXPECT_EQ(fast_en.stats().total(), slow_en.stats().total());
 
   // SeekAfter mid-sequence: both tiers resume onto the same successor.
   if (fast.size() >= 2) {
     const Walk& anchor = fast[fast.size() / 2];
-    ASSERT_TRUE(fast_ren.SeekAfter(anchor));
-    ASSERT_TRUE(slow_ren.SeekAfter(anchor));
-    ASSERT_EQ(fast_ren.Valid(), slow_ren.Valid());
-    if (fast_ren.Valid()) {
-      EXPECT_EQ(fast_ren.walk().edges, slow_ren.walk().edges);
+    ASSERT_TRUE(fast_en.SeekAfter(anchor));
+    ASSERT_TRUE(slow_en.SeekAfter(anchor));
+    ASSERT_EQ(fast_en.Valid(), slow_en.Valid());
+    if (fast_en.Valid()) {
+      EXPECT_EQ(fast_en.walk().edges, slow_en.walk().edges);
     }
   }
 }
@@ -345,8 +335,8 @@ void ExpectSimpleMatchesTrimmed(Instance& inst, const Nfa& dfa) {
   SimpleEnumerator simple(snap, dfa, inst.source, inst.target);
 
   Annotation ann = Annotate(snap, dfa, inst.source, inst.target);
-  TrimmedIndex index(snap, ann);
-  TrimmedEnumerator general(ann, index, inst.source, inst.target);
+  ResumableIndex index(snap, ann);
+  ResumableEnumerator general(ann, index, inst.source, inst.target);
 
   EXPECT_EQ(simple.lambda(), ann.lambda);
   std::vector<Walk> fast = DrainAll(&simple);

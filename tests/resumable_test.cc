@@ -1,12 +1,14 @@
-// Cross-oracle harness for the memoryless pipeline (Theorem 18).
+// Cross-oracle harness for the enumerator and its memoryless entry point
+// (Theorem 18).
 //
-// The stateful TrimmedEnumerator is the oracle: on every instance x
-// query, ResumableEnumerator's full scan must reproduce its answer
-// sequence exactly (order included), the SeekAfter chain — each answer
-// recomputed from the previous one alone — must reproduce it again,
-// and a *fresh* enumerator SeekAfter'ed to any answer w must emit
-// exactly the suffix after w, with the last answer invalidating
-// cleanly. Adversarial walks (wrong length, non-candidate edges, dead
+// The oracle is an order *specification*, independent of every
+// enumerator: the naive baseline's answer set sorted lexicographically
+// by the target-pool ranks of the walks' edges. On every instance x
+// query, ResumableEnumerator's full scan must reproduce it exactly
+// (order included), the SeekAfter chain — each answer recomputed from
+// the previous one alone — must reproduce it again, and a *fresh*
+// enumerator SeekAfter'ed to any answer w must emit exactly the suffix
+// after w, with the last answer invalidating cleanly. Adversarial walks (wrong length, non-candidate edges, dead
 // reachable-run sets) pin the rejection contract: release builds
 // return false, debug builds assert (death tests, mirroring
 // label_index_test). The delay-accounting test asserts the Theorem 18
@@ -24,7 +26,6 @@
 #include "automaton/thompson.h"
 #include "baseline/naive.h"
 #include "core/annotate.h"
-#include "core/enumerator.h"
 #include "core/resumable_index.h"
 #include "core/trimmed_index.h"
 #include "regex/regex_parser.h"
@@ -69,13 +70,10 @@ void ExpectResumableMatchesStateful(Instance inst, const Nfa& query,
   SCOPED_TRACE(what);
   Snapshot snap = inst.db.Freeze();
   Annotation ann = Annotate(snap, query, inst.source, inst.target);
-  TrimmedIndex tindex(snap, ann);
   ResumableIndex rindex(snap, ann);
 
-  TrimmedEnumerator ref_en(ann, tindex, inst.source, inst.target);
-  const WalkSeq ref = Drain(ref_en);
-  ASSERT_EQ(ref, LexOrderedNaiveAnswers(snap, query, inst.source,
-                                        inst.target));
+  const WalkSeq ref =
+      LexOrderedNaiveAnswers(snap, query, inst.source, inst.target);
 
   // (a) full scan, order included.
   ResumableEnumerator full(ann, rindex, inst.source, inst.target);
@@ -147,7 +145,7 @@ TEST(ResumableCrossOracleTest, StarOfChainsSweepsShapeAndQueries) {
     }
   }
   // "ends in l0" keeps only every other chain — trimming must drop the
-  // rest from the queues, not just from the answers.
+  // rest from the candidate lists, not just from the answers.
   for (bool thompson : {false, true}) {
     Instance inst = StarOfChains(6, 4, 2);
     Nfa query = CompileRegex("(l0|l1)* l0", &inst.db, thompson);
@@ -210,11 +208,11 @@ TEST(ResumableCrossOracleTest, UnreachableTargetHasNoAnswers) {
 }
 
 // Structural invariants of the index itself, on a noisy random
-// instance: every queue mirrors the trimmed candidate list of its
-// (level, vertex), ascending in tgt_idx; SeekGe lands exactly on each
-// member and on the first entry at-or-after any other out-edge of the
-// vertex; SlotOf agrees with SlotAt for every useful state; level
-// lambda has no queues.
+// instance: SlotAt finds every useful vertex below lambda at its
+// position; every candidate list is ascending in tgt_idx (the seek
+// key); SeekGe lands exactly on each member, on the first candidate
+// at-or-after any other out-edge of the vertex, and rejects edges that
+// are not out-edges of it; level lambda has no slots.
 TEST(ResumableIndexTest, QueueStructureInvariants) {
   Instance inst = EmbedInNoise(StarOfChains(5, 4, 2), 25, 100, 3);
   Nfa query = StaircaseNfa(2, 2);
@@ -223,57 +221,72 @@ TEST(ResumableIndexTest, QueueStructureInvariants) {
   ASSERT_TRUE(ann.reachable());
   ResumableIndex index(snap, ann);
   const TrimmedIndex& trimmed = index.trimmed();
-  ASSERT_EQ(trimmed.num_levels(), static_cast<uint32_t>(ann.lambda) + 1);
-  EXPECT_GT(index.num_queues(), 0u);
+  const uint32_t lambda = static_cast<uint32_t>(ann.lambda);
+  ASSERT_EQ(trimmed.num_levels(), lambda + 1);
 
-  for (uint32_t s = 0; s < index.num_queues(); ++s) {
-    const uint32_t level = index.level_of(s);
-    const uint32_t v = index.vertex_of(s);
-    EXPECT_LT(level, static_cast<uint32_t>(ann.lambda));
-    EXPECT_EQ(index.SlotAt(level, v), s);
+  size_t slots = 0;
+  for (uint32_t level = 0; level < lambda; ++level) {
+    const LevelSets& lvl = trimmed.UsefulLevel(level);
+    for (uint32_t pos = 0; pos < lvl.size(); ++pos, ++slots) {
+      const uint32_t v = lvl.vertex(pos);
+      EXPECT_EQ(index.SlotAt(level, v), pos);
 
-    auto queue = index.Queue(s);
-    auto ref = trimmed.Candidates(level, v);
-    ASSERT_EQ(queue.size(), ref.size());
-    ASSERT_FALSE(queue.empty()) << "useful vertex without candidates";
-    for (size_t i = 0; i < queue.size(); ++i) {
-      EXPECT_EQ(queue[i].edge, ref[i].edge);
-      EXPECT_EQ(queue[i].next_pos, ref[i].next_pos);
-      EXPECT_EQ(queue[i].dst, inst.db.dst(queue[i].edge));
-      EXPECT_EQ(queue[i].label, inst.db.edge(queue[i].edge).label);
-      EXPECT_EQ(queue[i].tgt_idx, snap.tgt_idx(queue[i].edge));
-      if (i > 0) {
-        EXPECT_LT(queue[i - 1].tgt_idx, queue[i].tgt_idx);
+      auto cand = trimmed.CandidatesAt(level, pos);
+      ASSERT_FALSE(cand.empty()) << "useful vertex without candidates";
+      for (size_t i = 0; i < cand.size(); ++i) {
+        EXPECT_EQ(cand[i].dst, inst.db.dst(cand[i].edge));
+        EXPECT_EQ(cand[i].label, inst.db.edge(cand[i].edge).label);
+        EXPECT_EQ(inst.db.src(cand[i].edge), v);
+        if (i > 0) {
+          EXPECT_LT(snap.tgt_idx(cand[i - 1].edge),
+                    snap.tgt_idx(cand[i].edge));
+        }
+        // SeekGe on a member is exact.
+        EXPECT_EQ(index.SeekGe(level, pos, cand[i].edge), i);
       }
-      // SeekGe on a member is exact.
-      EXPECT_EQ(index.SeekGe(s, queue[i].edge),
-                index.RestartCursor(s) + static_cast<uint32_t>(i));
-    }
 
-    // SeekGe on *any* out-edge of v is the first entry at-or-after it.
-    for (uint32_t e : inst.db.OutEdges(v)) {
-      ASSERT_TRUE(index.SpanContains(s, e));
-      uint32_t cur = index.SeekGe(s, e);
-      uint32_t key = snap.tgt_idx(e);
-      for (uint32_t c = index.RestartCursor(s); c != cur;
-           c = index.Advanced(s, c))
-        EXPECT_LT(index.Peek(s, c).tgt_idx, key);
-      if (!index.Exhausted(s, cur)) {
-        EXPECT_GE(index.Peek(s, cur).tgt_idx, key);
+      // SeekGe on *any* out-edge of v is the first candidate at-or-after
+      // it; on any other edge it is kNoSlot.
+      for (uint32_t e = 0; e < inst.db.num_edges(); ++e) {
+        const uint32_t c = index.SeekGe(level, pos, e);
+        if (inst.db.src(e) != v) {
+          EXPECT_EQ(c, kNoSlot) << "edge " << e;
+          continue;
+        }
+        ASSERT_LE(c, cand.size());
+        const uint32_t key = snap.tgt_idx(e);
+        for (uint32_t i = 0; i < c; ++i)
+          EXPECT_LT(snap.tgt_idx(cand[i].edge), key);
+        if (c < cand.size()) {
+          EXPECT_GE(snap.tgt_idx(cand[c].edge), key);
+        }
       }
     }
-
-    // The per-(vertex, state) view resolves to this queue for every
-    // useful state at (level, v).
-    trimmed.Useful(level, v).ForEach(
-        [&](uint32_t p) { EXPECT_EQ(index.SlotOf(v, p), s); });
   }
+  EXPECT_GT(slots, 0u);
 
-  // Level lambda (the target's level) has no queues, and states useful
-  // nowhere have no slot.
-  EXPECT_EQ(index.SlotAt(static_cast<uint32_t>(ann.lambda), inst.target),
-            kNoSlot);
-  EXPECT_EQ(index.SlotOf(inst.target, 0), kNoSlot);
+  // Level lambda (the target's level) has no slots; neither do vertices
+  // useful nowhere at a level.
+  EXPECT_EQ(index.SlotAt(lambda, inst.target), kNoSlot);
+  EXPECT_EQ(index.SlotAt(0, inst.target), kNoSlot);
+}
+
+// The index holds nothing sized by the graph: embedding the same answer
+// core in 64x more noise leaves everything but the trimmed structure
+// byte-identical. Only the source's 8 entry edges touch the noise, and
+// they are in the source's rank array at both sizes.
+TEST(ResumableIndexTest, RankArraysDoNotGrowWithNoise) {
+  std::vector<size_t> rank_bytes;
+  for (uint32_t n : {1024u, 65536u}) {
+    Instance inst = EmbedInNoise(BubbleChain(12, 2), n / 4 + 1, n, 41);
+    Snapshot snap = inst.db.Freeze();
+    Annotation ann =
+        Annotate(snap, StaircaseNfa(1, 2), inst.source, inst.target);
+    ASSERT_TRUE(ann.reachable());
+    ResumableIndex index(snap, ann);
+    rank_bytes.push_back(index.ApproxBytes() - index.trimmed().ApproxBytes());
+  }
+  EXPECT_EQ(rank_bytes[0], rank_bytes[1]);
 }
 
 // ------------------------------------------------------- adversarial
@@ -330,9 +343,8 @@ struct AdversarialFixture {
 TEST(ResumableAdversarialTest, FixtureAnswersAreSane) {
   AdversarialFixture fx;
   ExpectResumableMatchesStateful(fx.inst, fx.query, "ab-or-ba");
-  TrimmedEnumerator ref(fx.ann, fx.index.trimmed(), fx.inst.source,
-                        fx.inst.target);
-  WalkSeq answers = Drain(ref);
+  ResumableEnumerator en(fx.ann, fx.index, fx.inst.source, fx.inst.target);
+  WalkSeq answers = Drain(en);
   ASSERT_EQ(answers, (WalkSeq{{fx.e0, fx.e2}, {fx.e1, fx.e3}}));
 }
 
@@ -359,6 +371,12 @@ TEST(ResumableAdversarialTest, RejectsNonAnswersInRelease) {
   expect_rejected({fx.e0, fx.e4}, "edge trimmed away (dead-end dst)");
   expect_rejected({fx.e2, fx.e3}, "edge of the wrong vertex at level 0");
   expect_rejected({fx.e0, 1000000}, "garbage edge id");
+  // Edge ids just past and far past the shared LabelIndex: the seek
+  // must bounds-check them, not read past its rank map.
+  expect_rejected({fx.e0, static_cast<uint32_t>(fx.snap.num_edges())},
+                  "edge id one past the end");
+  expect_rejected({fx.e0, UINT32_MAX}, "edge id UINT32_MAX");
+  expect_rejected({UINT32_MAX, fx.e2}, "edge id UINT32_MAX at level 0");
 
   // A rejected seek must not wedge the enumerator: a valid SeekAfter
   // right after still works (memorylessness).
@@ -390,6 +408,7 @@ TEST(ResumableAdversarialDeathTest, AssertsOnNonAnswersInDebug) {
   EXPECT_DEATH(seek({fx.e0, fx.e4}), "not an answer");
   EXPECT_DEATH(seek({fx.e2, fx.e3}), "not an answer");
   EXPECT_DEATH(seek({fx.e0, 1000000}), "not an answer");
+  EXPECT_DEATH(seek({fx.e0, UINT32_MAX}), "not an answer");
 }
 #endif
 
