@@ -3,9 +3,10 @@
 // ResumableIndex) up to date after a batch of k inserted edges, as a
 // function of the mutation rate k / |E| (permille), two ways:
 //
-//   DeltaRepair  — DeltaContext + DeltaAnnotate wave + DeltaTrim patch +
-//                  resumable re-layout (the incremental InstallSnapshot
-//                  path of the engine)
+//   DeltaRepair  — DeltaAnnotate wave + DeltaTrim patch + resumable
+//                  re-layout (the incremental InstallSnapshot path of
+//                  the engine; its DeltaContext is an O(1) view over the
+//                  database's live in-neighbor lists)
 //   FullRebuild  — Annotate product BFS + full backward sweep + layout
 //                  (what every mutation used to cost)
 //
@@ -13,12 +14,24 @@
 // headline use case: writes that touch parts of the graph away from the
 // query's answer set, where the wave's touched region stays small. Both
 // arms apply identical insertions (same seed), and the repair arm times
-// everything the engine's upgrade path would run, DeltaContext build
-// included. The CI perf-smoke job gates DeltaRepair being >3x faster
-// than FullRebuild at permille = 10 (a 1% mutation rate).
+// everything the engine's upgrade path would run per plan. The CI
+// perf-smoke job gates DeltaRepair being >3x faster than FullRebuild at
+// permille = 10 (a 1% mutation rate).
+//
+// The freeze arms price the other half of a write, Database::Freeze(),
+// on a graph the size of e2ebench's (a LayeredGraph inside ~24K noise
+// vertices, ~113K edges):
+//
+//   FreezeScratch      — the first freeze: every vertex grouped
+//   FreezeAfterInsert  — a freeze after k inserted edges, spliced from
+//                        the previous index (untouched vertices copied,
+//                        only the k sources regrouped)
+//
+// CI gates FreezeScratch / FreezeAfterInsert/permille:1 >= 3.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <random>
 
@@ -129,6 +142,72 @@ BENCHMARK(BM_Mutation_FullRebuild)
     ->Arg(1)
     ->Arg(10)
     ->Arg(50);
+
+// An e2ebench-sized graph: a multi-labelled LayeredGraph inside a
+// noise region (~24.5K vertices, ~113K edges).
+struct FreezeFixture {
+  Instance pristine;  // never frozen
+
+  FreezeFixture() {
+    LayeredGraphParams p;
+    p.layers = 8;
+    p.width = 64;
+    p.num_labels = 2;
+    p.extra_labels = 2;
+    p.multi_label_p = 0.5;
+    pristine = EmbedInNoise(LayeredGraph(p), 24000, 110000, 7);
+  }
+
+  static const FreezeFixture& Get() {
+    static FreezeFixture fx;
+    return fx;
+  }
+};
+
+void BM_Mutation_FreezeScratch(benchmark::State& state) {
+  const FreezeFixture& fx = FreezeFixture::Get();
+  // Declared outside the loop so their teardown runs paused.
+  Database db;
+  Snapshot snap;
+  for (auto _ : state) {
+    state.PauseTiming();
+    snap = Snapshot();
+    db = fx.pristine.db;
+    state.ResumeTiming();
+
+    snap = db.Freeze();
+    benchmark::DoNotOptimize(snap);
+  }
+  state.counters["edges"] = static_cast<double>(fx.pristine.db.num_edges());
+}
+BENCHMARK(BM_Mutation_FreezeScratch);
+
+void BM_Mutation_FreezeAfterInsert(benchmark::State& state) {
+  const FreezeFixture& fx = FreezeFixture::Get();
+  Database frozen = fx.pristine.db;
+  (void)frozen.Freeze();
+  const uint32_t n = frozen.num_vertices();
+  const auto k = std::max<uint32_t>(
+      1, static_cast<uint32_t>(frozen.num_edges() * state.range(0) / 1000));
+  Database db;
+  Snapshot snap;
+  for (auto _ : state) {
+    state.PauseTiming();
+    snap = Snapshot();
+    db = frozen;  // shares the frozen index the splice reads
+    std::mt19937_64 rng(4242);
+    for (uint32_t i = 0; i < k; ++i)
+      db.AddEdge(static_cast<uint32_t>(rng() % n),
+                 static_cast<uint32_t>(rng() % 4),
+                 static_cast<uint32_t>(rng() % n));
+    state.ResumeTiming();
+
+    snap = db.Freeze();
+    benchmark::DoNotOptimize(snap);
+  }
+  state.counters["inserted_edges"] = k;
+}
+BENCHMARK(BM_Mutation_FreezeAfterInsert)->ArgName("permille")->Arg(1);
 
 }  // namespace
 }  // namespace dsw

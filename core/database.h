@@ -25,6 +25,16 @@
 // mutation after Freeze() starts the next generation: old snapshots (and
 // the indexes built from them) keep the loud generation assert instead
 // of silently serving stale spans.
+//
+// A write costs the delta, not the graph. The mutation API is
+// append-only, so Freeze() splices the new LabelIndex out of the last
+// frozen one: untouched vertices are block-copied with shifted pool
+// offsets and only the vertices that gained out-edges are regrouped.
+// The in-neighbor lists the delta-repair layer walks backward
+// (core/delta_annotate.h) are kept live by AddEdge instead of being
+// rebuilt per write; they and the out-edge lists live in pooled
+// per-vertex runs (VertexLists), so appending an edge allocates nothing
+// per vertex.
 
 #ifndef DSW_CORE_DATABASE_H_
 #define DSW_CORE_DATABASE_H_
@@ -141,6 +151,14 @@ class LabelIndex {
     return {g.front().begin, g.back().end};
   }
 
+  /// Vertices covered (0 for the empty index of a never-frozen
+  /// database).
+  uint32_t num_vertices() const {
+    return group_offsets_.empty()
+               ? 0
+               : static_cast<uint32_t>(group_offsets_.size() - 1);
+  }
+
  private:
   friend class Database;
   std::vector<uint32_t> group_offsets_;  // vertex -> first group; size V+1
@@ -150,6 +168,45 @@ class LabelIndex {
 };
 
 class Snapshot;
+
+/// Per-vertex id lists appended in order, all in one pool: each list is
+/// a contiguous run, and a full run moves to the pool's end at twice its
+/// capacity (amortized O(1) append, and the dead runs left behind hold
+/// fewer slots than the live ones). Unlike a vector per vertex, growing
+/// a list never allocates per vertex — a Database builds two of these
+/// an edge at a time.
+class VertexLists {
+ public:
+  void AddVertices(uint32_t n) { runs_.resize(runs_.size() + n); }
+
+  void Append(uint32_t v, uint32_t id) {
+    Run& run = runs_[v];
+    if (run.size == run.cap) {
+      const auto begin = static_cast<uint32_t>(pool_.size());
+      const uint32_t cap = std::max(2 * run.cap, 4u);
+      pool_.resize(pool_.size() + cap);
+      std::copy_n(pool_.begin() + run.begin, run.size, pool_.begin() + begin);
+      run.begin = begin;
+      run.cap = cap;
+    }
+    pool_[run.begin + run.size++] = id;
+  }
+
+  std::span<const uint32_t> operator[](uint32_t v) const {
+    return {pool_.data() + runs_[v].begin, runs_[v].size};
+  }
+
+  uint32_t size() const { return static_cast<uint32_t>(runs_.size()); }
+
+ private:
+  struct Run {
+    uint32_t begin = 0;
+    uint32_t size = 0;
+    uint32_t cap = 0;
+  };
+  std::vector<Run> runs_;
+  std::vector<uint32_t> pool_;
+};
 
 /// Insert-only difference between two frozen generations of one
 /// Database, as recorded by the freeze-time delta log: vertices
@@ -166,11 +223,7 @@ struct EdgeDelta {
 
 class Database {
  public:
-  uint32_t AddVertex() {
-    out_.emplace_back();
-    ++generation_;
-    return static_cast<uint32_t>(out_.size() - 1);
-  }
+  uint32_t AddVertex() { return AddVertices(1); }
 
   /// Adds \p n vertices; returns the id of the first. A zero-vertex
   /// call changes nothing and is generation-neutral — bumping the
@@ -179,7 +232,8 @@ class Database {
   uint32_t AddVertices(uint32_t n) {
     uint32_t first = num_vertices();
     if (n == 0) return first;
-    out_.resize(out_.size() + n);
+    out_.AddVertices(n);
+    in_.AddVertices(n);
     ++generation_;
     return first;
   }
@@ -190,7 +244,8 @@ class Database {
     assert(dst < num_vertices() && "AddEdge: dst is not a vertex id");
     uint32_t id = static_cast<uint32_t>(edges_.size());
     edges_.push_back(Edge{src, dst, label});
-    out_[src].push_back(id);
+    out_.Append(src, id);
+    in_.Append(dst, src);
     ++generation_;
     return id;
   }
@@ -210,7 +265,7 @@ class Database {
   /// use-after-mutate into a loud assertion instead of wrong answers.
   uint64_t generation() const { return generation_; }
 
-  uint32_t num_vertices() const { return static_cast<uint32_t>(out_.size()); }
+  uint32_t num_vertices() const { return out_.size(); }
   size_t num_edges() const { return edges_.size(); }
   /// |D| as used in the paper's complexity statements: |V| + |E|.
   size_t size() const { return num_vertices() + num_edges(); }
@@ -218,11 +273,19 @@ class Database {
   const Edge& edge(uint32_t id) const { return edges_[id]; }
   uint32_t src(uint32_t id) const { return edges_[id].src; }
   uint32_t dst(uint32_t id) const { return edges_[id].dst; }
-  const std::vector<uint32_t>& OutEdges(uint32_t v) const { return out_[v]; }
+  std::span<const uint32_t> OutEdges(uint32_t v) const { return out_[v]; }
+
+  /// Sources of \p v's in-edges in edge-id order, one entry per edge
+  /// (parallel edges repeat their source). Maintained by AddEdge, so the
+  /// reverse adjacency is never rebuilt.
+  std::span<const uint32_t> InNeighbors(uint32_t v) const { return in_[v]; }
 
   /// Seals the current contents into an immutable Snapshot: builds the
-  /// label-stratified adjacency (O(|E| log d), reusing the build when
-  /// nothing mutated since the last freeze) and stamps the generation.
+  /// label-stratified adjacency and stamps the generation. The build is
+  /// a splice of the last frozen index (see SpliceLabelIndex): a linear
+  /// copy of the untouched vertices plus a regroup of the vertices that
+  /// gained out-edges since; re-freezing an unmutated database reuses
+  /// the index outright. Older snapshots keep their own index.
   /// Deliberately non-const — building the index is a mutation-path
   /// operation, so it can never race with the read path; the returned
   /// Snapshot (and copies of it) can then be shared across any number
@@ -241,33 +304,83 @@ class Database {
  private:
   friend class Snapshot;  // DeltaFrom reads the freeze-mark log
 
-  void BuildLabelIndex(LabelIndex& ix) const {
-    uint32_t v_count = num_vertices();
-    ix.group_offsets_.assign(v_count + 1, 0);
-    ix.groups_.clear();
-    ix.targets_.clear();
-    ix.targets_.reserve(edges_.size());
-    ix.edge_pos_.assign(edges_.size(), 0);
-    std::vector<uint32_t> buf;
-    for (uint32_t v = 0; v < v_count; ++v) {
-      ix.group_offsets_[v] = static_cast<uint32_t>(ix.groups_.size());
-      buf.assign(out_[v].begin(), out_[v].end());
-      // Stable: edges of one (v, label) group keep insertion order.
-      std::stable_sort(buf.begin(), buf.end(),
-                       [this](uint32_t a, uint32_t b) {
-                         return edges_[a].label < edges_[b].label;
-                       });
-      for (uint32_t id : buf) {
-        uint32_t label = edges_[id].label;
-        if (ix.groups_.size() == ix.group_offsets_[v] ||
-            ix.groups_.back().label != label) {
-          uint32_t pos = static_cast<uint32_t>(ix.targets_.size());
-          ix.groups_.push_back(LabelIndex::Group{label, pos, pos});
+  // Builds the adjacency of the current contents into \p ix from
+  // \p prev, the index of an earlier freeze of this database (empty on
+  // the first freeze — the one build path). Mutation is append-only, so
+  // a vertex's groups differ from \p prev only when it gained out-edges
+  // since: every other vertex's groups and targets are copied with
+  // their pool offsets shifted by the edges spliced in before them, and
+  // only the gainers are regrouped. Bit-identical to grouping every
+  // vertex from scratch.
+  void SpliceLabelIndex(const LabelIndex& prev, LabelIndex& ix) const {
+    const uint32_t v_count = num_vertices();
+    const auto e_count = static_cast<uint32_t>(edges_.size());
+    const uint32_t prev_v = prev.num_vertices();
+    const auto prev_e = static_cast<uint32_t>(prev.num_edges());
+    std::vector<uint8_t> regroup(v_count, 0);
+    for (uint32_t e = prev_e; e < e_count; ++e) regroup[edges_[e].src] = 1;
+    ix.group_offsets_.resize(static_cast<size_t>(v_count) + 1);
+    ix.groups_.reserve(prev.groups_.size() + (e_count - prev_e));
+    ix.targets_.resize(e_count);
+    ix.edge_pos_.resize(e_count);
+    uint32_t pos = 0;             // targets placed so far
+    std::vector<uint64_t> keyed;  // (label << 32 | edge id) of one vertex
+    for (uint32_t v = 0; v < v_count;) {
+      if (!regroup[v]) {
+        // A run [v, end) of untouched vertices: one block copy, every
+        // pool offset shifted by the edges spliced in before the run
+        // (only insertions precede it, so offsets never move down).
+        uint32_t end = v + 1;
+        while (end < v_count && !regroup[end]) ++end;
+        const uint32_t copy_end = std::min(end, prev_v);
+        if (v < copy_end) {
+          const uint32_t g_begin = prev.group_offsets_[v];
+          const uint32_t g_end = prev.group_offsets_[copy_end];
+          const uint32_t g_shift =
+              static_cast<uint32_t>(ix.groups_.size()) - g_begin;
+          for (uint32_t u = v; u < copy_end; ++u)
+            ix.group_offsets_[u] = prev.group_offsets_[u] + g_shift;
+          if (g_begin < g_end) {
+            const uint32_t t_begin = prev.groups_[g_begin].begin;
+            const uint32_t t_end = prev.groups_[g_end - 1].end;
+            const uint32_t shift = pos - t_begin;
+            for (uint32_t g = g_begin; g < g_end; ++g) {
+              const LabelIndex::Group& old = prev.groups_[g];
+              ix.groups_.push_back(LabelIndex::Group{
+                  old.label, old.begin + shift, old.end + shift});
+            }
+            std::copy(prev.targets_.begin() + t_begin,
+                      prev.targets_.begin() + t_end,
+                      ix.targets_.begin() + pos);
+            for (uint32_t p = t_begin; p < t_end; ++p)
+              ix.edge_pos_[prev.targets_[p].edge] = p + shift;
+            pos += t_end - t_begin;
+          }
+          v = copy_end;
         }
-        ix.edge_pos_[id] = static_cast<uint32_t>(ix.targets_.size());
-        ix.targets_.push_back(LabelIndex::Target{id, edges_[id].dst});
+        for (; v < end; ++v)  // added since, no out-edges yet
+          ix.group_offsets_[v] = static_cast<uint32_t>(ix.groups_.size());
+        continue;
+      }
+      // A vertex that gained out-edges: regroup all of them. Edge ids
+      // grow with insertion, so (label, id) order is the stable by-label
+      // order — each group keeps insertion order.
+      ix.group_offsets_[v] = static_cast<uint32_t>(ix.groups_.size());
+      keyed.clear();
+      for (uint32_t id : out_[v])
+        keyed.push_back(uint64_t{edges_[id].label} << 32 | id);
+      std::sort(keyed.begin(), keyed.end());
+      for (uint64_t k : keyed) {
+        const auto id = static_cast<uint32_t>(k);
+        const auto label = static_cast<uint32_t>(k >> 32);
+        if (ix.groups_.size() == ix.group_offsets_[v] ||
+            ix.groups_.back().label != label)
+          ix.groups_.push_back(LabelIndex::Group{label, pos, pos});
+        ix.edge_pos_[id] = pos;
+        ix.targets_[pos++] = LabelIndex::Target{id, edges_[id].dst};
         ++ix.groups_.back().end;
       }
+      ++v;
     }
     ix.group_offsets_[v_count] = static_cast<uint32_t>(ix.groups_.size());
   }
@@ -286,14 +399,15 @@ class Database {
   static constexpr size_t kMaxFreezeMarks = 64;
 
   std::vector<Edge> edges_;
-  std::vector<std::vector<uint32_t>> out_;  // vertex -> edge ids
+  VertexLists out_;  // vertex -> out-edge ids
+  VertexLists in_;   // vertex -> in-edge sources
   LabelDictionary labels_;
   std::vector<FreezeMark> freeze_marks_;  // ascending generation
   // The index built by the last Freeze() and the generation it captured;
   // shared with every Snapshot handed out, so re-freezing an unchanged
-  // database is O(1) and old snapshots stay valid storage-wise even
-  // after a rebuild (their generation assert governs *semantic*
-  // validity).
+  // database is O(1), the next freeze splices from it, and old
+  // snapshots stay valid storage-wise after a new build (their
+  // generation assert governs *semantic* validity).
   std::shared_ptr<const LabelIndex> frozen_index_;
   uint64_t frozen_generation_ = UINT64_MAX;  // != any real generation
   uint64_t generation_ = 0;
@@ -378,7 +492,7 @@ class Snapshot {
   }
   uint32_t src(uint32_t id) const { return edge(id).src; }
   uint32_t dst(uint32_t id) const { return edge(id).dst; }
-  const std::vector<uint32_t>& OutEdges(uint32_t v) const {
+  std::span<const uint32_t> OutEdges(uint32_t v) const {
     AssertFresh();
     return db_->OutEdges(v);
   }
@@ -401,7 +515,7 @@ class Snapshot {
 inline Snapshot Database::Freeze() {
   if (!frozen_index_ || frozen_generation_ != generation_) {
     auto ix = std::make_shared<LabelIndex>();
-    BuildLabelIndex(*ix);
+    SpliceLabelIndex(frozen_index_ ? *frozen_index_ : LabelIndex{}, *ix);
     frozen_index_ = std::move(ix);
     frozen_generation_ = generation_;
   }

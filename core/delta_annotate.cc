@@ -52,20 +52,6 @@ void DiffLevels(const LevelSets& old_level, const LevelSets& new_level,
 
 }  // namespace
 
-DeltaContext::DeltaContext(const Snapshot& snap) {
-  snap.AssertFresh();
-  const Database& db = snap.db();
-  const uint32_t num_vertices = db.num_vertices();
-  const uint32_t num_edges = static_cast<uint32_t>(db.num_edges());
-  in_off_.assign(static_cast<size_t>(num_vertices) + 1, 0);
-  for (uint32_t e = 0; e < num_edges; ++e) ++in_off_[db.dst(e) + 1];
-  for (uint32_t v = 0; v < num_vertices; ++v) in_off_[v + 1] += in_off_[v];
-  in_src_.resize(num_edges);
-  std::vector<uint32_t> cursor(in_off_.begin(), in_off_.end() - 1);
-  for (uint32_t e = 0; e < num_edges; ++e)
-    in_src_[cursor[db.dst(e)]++] = db.src(e);
-}
-
 AnnotationRepair DeltaAnnotate(const Snapshot& snap, const EdgeDelta& delta,
                                Annotation* ann) {
   AnnotationRepair rep;

@@ -56,23 +56,27 @@
 
 namespace dsw {
 
-/// Reverse label-free adjacency (in-neighbor CSR) of one snapshot.
-/// Built once per InstallSnapshot and shared, read-only, across every
-/// entry repair, which may run concurrently: the trim patcher needs
-/// "which vertices have an edge into w" to propagate usefulness changes
-/// backward, and the forward LabelIndex cannot answer that. O(|E|) build; parallel edges appear as duplicate
-/// in-neighbors (the dirty sets dedup downstream).
+/// Reverse label-free adjacency (in-neighbor lists) of one snapshot:
+/// the trim patcher needs "which vertices have an edge into w" to
+/// propagate usefulness changes backward, and the forward LabelIndex
+/// cannot answer that. An O(1) view over the lists the Database keeps
+/// live as edges are appended (Database::InNeighbors), so an install
+/// builds nothing; shared, read-only, across every entry repair, which
+/// may run concurrently. Parallel edges appear as duplicate
+/// in-neighbors (the dirty sets dedup downstream). Same freshness
+/// contract as the snapshot.
 class DeltaContext {
  public:
-  explicit DeltaContext(const Snapshot& snap);
+  explicit DeltaContext(const Snapshot& snap) : db_(&snap.db()) {
+    snap.AssertFresh();
+  }
 
   std::span<const uint32_t> InNeighbors(uint32_t v) const {
-    return {in_src_.data() + in_off_[v], in_src_.data() + in_off_[v + 1]};
+    return db_->InNeighbors(v);
   }
 
  private:
-  std::vector<uint32_t> in_off_;  // vertex -> first in-edge; size V+1
-  std::vector<uint32_t> in_src_;  // source vertices, grouped by dst
+  const Database* db_;
 };
 
 /// What DeltaAnnotate did to the annotation. ok == false means the

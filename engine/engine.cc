@@ -62,8 +62,9 @@ struct QueryEngine::WorkerCache {
     return *e.en;
   }
 
-  // Retired queries never run again; drop their enumerators so a
-  // long-lived engine does not accumulate one per old generation.
+  // Plans of other generations never run again; drop their enumerators
+  // so a long-lived engine does not accumulate one per old generation
+  // (and keep no old plan alive).
   void EvictOtherGenerations(const Database* db, uint64_t gen) {
     for (auto it = entries.begin(); it != entries.end();) {
       const Snapshot& s = it->second.query->snap;
@@ -149,8 +150,8 @@ void QueryEngine::InstallSnapshot(Snapshot snap) {
     snapshot_ = snap;
     // Sessions pinned to older generations are retired lazily, at their
     // next pump — the (db, generation) compare in the worker is the
-    // whole mechanism. The incremental path below re-points the sessions
-    // it saves BEFORE they can reach a worker again.
+    // whole mechanism. The incremental path below re-points the slots
+    // it saves at the end.
   }
 
   // Incremental path: when the previous install was an earlier frozen
@@ -170,16 +171,15 @@ void QueryEngine::InstallSnapshot(Snapshot snap) {
   // carry the generation); drop them eagerly. Outside mu_ — the cache
   // has its own lock and the two are never held together.
   cache_.Invalidate(db, gen);
-  if (old_entries.empty()) return;
 
   // Repair each extracted plan against the new snapshot and re-insert
-  // it under the new generation's key. One reverse CSR serves them all.
-  // The repairs are independent pure reads of (snap, delta, ctx, old
-  // plan), and an install's cost grows with the number of cached plans,
-  // so they run on as many threads as the engine has workers.
-  DeltaContext ctx(snap);
+  // it under the new generation's key. The repairs are independent pure
+  // reads of (snap, delta, ctx, old plan), and an install's cost grows
+  // with the number of cached plans, so they run on as many threads as
+  // the engine has workers.
   std::vector<RepairedPlan> repairs(old_entries.size());
-  {
+  if (!old_entries.empty()) {
+    DeltaContext ctx(snap);
     std::atomic<size_t> next{0};
     auto repair_some = [&] {
       for (size_t i; (i = next.fetch_add(1)) < old_entries.size();)
@@ -192,54 +192,71 @@ void QueryEngine::InstallSnapshot(Snapshot snap) {
     repair_some();
     for (std::future<void>& h : helpers) h.get();
   }
-  std::unordered_map<const PreparedQuery*,
-                     std::shared_ptr<const PreparedQuery>>
-      remap;           // old plan -> upgraded plan (all upgrades)
-  uint64_t upgraded = 0;
-  std::vector<const PreparedQuery*> order_broken;  // lambda changed
+  std::unordered_map<const PreparedQuery*, const RepairedPlan*>
+      upgrades;  // old plan -> its repair
   for (size_t i = 0; i < old_entries.size(); ++i) {
     auto& [key, old] = old_entries[i];
-    RepairedPlan& repaired = repairs[i];
-    if (!repaired.value) continue;
-    ++upgraded;
-    remap.emplace(old.get(), repaired.value);
-    if (!repaired.order_preserved) order_broken.push_back(old.get());
+    if (!repairs[i].value) continue;
+    upgrades.emplace(old.get(), &repairs[i]);
     PlanKey new_key = std::move(key);
     new_key.generation = gen;
-    cache_.InsertUpgraded(std::move(new_key), std::move(repaired.value));
+    cache_.InsertUpgraded(std::move(new_key), repairs[i].value);
   }
-  if (remap.empty()) return;
 
+  // Plans the slots let go of; freed after mu_ is released.
+  std::vector<std::shared_ptr<const PreparedQuery>> released;
   std::lock_guard<std::mutex> lock(mu_);
-  plans_upgraded_ += upgraded;
-  // Re-point the query table: future OpenSession calls on an existing
-  // QueryId get the upgraded plan (new sessions Rewind, so this is safe
-  // even when the enumeration order changed).
-  for (auto& q : queries_) {
-    auto it = remap.find(q.get());
-    if (it != remap.end()) q = it->second;
-  }
-  // Re-point sessions. A session that already emitted answers needs its
-  // parked walk to stay a valid order anchor, which only holds when
-  // lambda is unchanged — otherwise leave it on the old plan and let
-  // the worker's generation check retire it lazily, as before.
-  for (Session& s : sessions_) {
-    if (!s.query) continue;
-    auto it = remap.find(s.query.get());
-    if (it == remap.end()) continue;
-    if (s.started &&
-        std::find(order_broken.begin(), order_broken.end(),
-                  s.query.get()) != order_broken.end())
+  plans_upgraded_ += upgrades.size();
+  // One pass over the live slots (the previous generation's plans). A
+  // slot already on this generation stays; a repaired plan's slot is
+  // re-pointed, which moves every QueryId and session on it (new
+  // sessions Rewind, so that is safe even when the order changed); any
+  // other slot can never run again and lets go of its plan, so retired
+  // sessions do not pin old generations.
+  std::unordered_map<const PreparedQuery*, uint32_t> live;
+  for (const auto& [plan, id] : slot_of_) {
+    Slot& slot = slots_[id];
+    if (&plan->snap.db() == db && plan->snap.generation() == gen) {
+      live.emplace(plan, id);
       continue;
-    s.query = it->second;
-    if (s.state == SessionState::kParked) ++sessions_upgraded_;
+    }
+    auto it = upgrades.find(plan);
+    if (it == upgrades.end()) {
+      released.push_back(std::move(slot.plan));
+      slot = Slot{};
+      continue;
+    }
+    // A started session needs its parked walk to stay a valid order
+    // anchor, which only holds when lambda is unchanged — otherwise the
+    // epoch bump retires it at its next pump.
+    const RepairedPlan& repaired = *it->second;
+    sessions_upgraded_ += slot.parked_fresh;
+    if (repaired.order_preserved) {
+      sessions_upgraded_ += slot.parked_started;
+    } else {
+      ++slot.order_epoch;
+      slot.parked_started = 0;
+    }
+    slot.plan = repaired.value;  // old_entries frees the old one
+    live.emplace(slot.plan.get(), id);
   }
+  slot_of_ = std::move(live);
 }
 
 QueryId QueryEngine::RegisterLocked(
     std::shared_ptr<const PreparedQuery> prepared) {
-  queries_.push_back(std::move(prepared));
+  auto [it, inserted] = slot_of_.emplace(
+      prepared.get(), static_cast<uint32_t>(slots_.size()));
+  if (inserted) slots_.push_back(Slot{std::move(prepared)});
+  queries_.push_back(it->second);
   return static_cast<QueryId>(queries_.size() - 1);
+}
+
+uint32_t* QueryEngine::ParkedCountLocked(const Session& s) {
+  Slot& slot = slots_[s.slot];
+  if (!slot.plan) return nullptr;
+  if (!s.started) return &slot.parked_fresh;
+  return s.epoch == slot.order_epoch ? &slot.parked_started : nullptr;
 }
 
 QueryId QueryEngine::Prepare(const Nfa& query, uint32_t source,
@@ -351,7 +368,8 @@ SessionId QueryEngine::OpenSession(QueryId query) {
   std::lock_guard<std::mutex> lock(mu_);
   assert(query < queries_.size() && "OpenSession: unknown query");
   Session s;
-  s.query = queries_[query];
+  s.slot = queries_[query];
+  if (uint32_t* parked = ParkedCountLocked(s)) ++*parked;
   sessions_.push_back(std::move(s));
   return static_cast<SessionId>(sessions_.size() - 1);
 }
@@ -377,6 +395,7 @@ std::future<PumpResult> QueryEngine::PumpAsync(SessionId session,
       case SessionState::kParked:
         break;
     }
+    if (uint32_t* parked = ParkedCountLocked(s)) --*parked;
     s.state = SessionState::kQueued;
     queue_.push_back(Job{session, std::max(max_answers, 1u),
                          std::move(promise),
@@ -470,35 +489,48 @@ PumpResult QueryEngine::RunBatch(
 
 void QueryEngine::WorkerLoop() {
   WorkerCache cache(worker_cache_entries_, &worker_cache_evictions_);
+  // The install this worker's cache was last pruned for.
+  const Database* pruned_db = nullptr;
+  uint64_t pruned_gen = 0;
   for (;;) {
     Job job;
     std::shared_ptr<const PreparedQuery> query;
     Walk last;
     bool started = false;
+    bool prune = false;
     {
       std::unique_lock<std::mutex> lock(mu_);
       cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
       if (stop_) return;  // ~QueryEngine fails whatever is still queued
       job = std::move(queue_.front());
       queue_.pop_front();
+      if (pruned_db != installed_db_ || pruned_gen != installed_gen_) {
+        pruned_db = installed_db_;
+        pruned_gen = installed_gen_;
+        prune = true;
+      }
 
       Session& s = sessions_[job.session];
-      const Snapshot& pinned = s.query->snap;
-      if (&pinned.db() != installed_db_ ||
-          pinned.generation() != installed_gen_) {
+      const Slot& slot = slots_[s.slot];
+      if (!slot.plan || &slot.plan->snap.db() != installed_db_ ||
+          slot.plan->snap.generation() != installed_gen_ ||
+          (s.started && s.epoch != slot.order_epoch)) {
         // Graceful rejection: the stale index is never touched.
         s.state = SessionState::kRetired;
         ++sessions_retired_;
-        const Database* live_db = installed_db_;
-        uint64_t live_gen = installed_gen_;
-        lock.unlock();
-        cache.EvictOtherGenerations(live_db, live_gen);
-        job.promise.set_value(PumpResult{PumpStatus::kRetired, {}});
-        continue;
+      } else {
+        if (!s.started) s.epoch = slot.order_epoch;
+        query = slot.plan;
+        last = s.last;
+        started = s.started;
       }
-      query = s.query;
-      last = s.last;
-      started = s.started;
+    }
+    // Enumerators of other generations never run again; drop them at
+    // the first job after an install so they do not pin old plans.
+    if (prune) cache.EvictOtherGenerations(pruned_db, pruned_gen);
+    if (!query) {
+      job.promise.set_value(PumpResult{PumpStatus::kRetired, {}});
+      continue;
     }
 
     int64_t first_ns = -1;
@@ -514,6 +546,8 @@ void QueryEngine::WorkerLoop() {
       }
       s.state = result.status == PumpStatus::kOk ? SessionState::kParked
                                                  : SessionState::kExhausted;
+      if (s.state == SessionState::kParked)
+        if (uint32_t* parked = ParkedCountLocked(s)) ++*parked;
       if (first_ns >= 0) first_answer_ns_.push_back(first_ns);
     }
     job.promise.set_value(std::move(result));

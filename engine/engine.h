@@ -23,7 +23,7 @@
 //    textually different but equivalent patterns hit one cache entry.
 //  - OpenSession()/Pump() run enumeration in batches on the worker
 //    pool. A session is a *parked memoryless cursor*: between pumps the
-//    engine stores only (prepared query, last answer) — Theorem 18's
+//    engine stores only (plan slot, last answer) — Theorem 18's
 //    SeekAfter recomputes the position from the last answer alone, so a
 //    session can resume on ANY worker thread, not just the one that
 //    produced the previous batch.
@@ -31,7 +31,11 @@
 //    queries) pinned to an older generation: their next pump returns
 //    PumpStatus::kRetired without touching the stale index — the loud
 //    generation assert stays as the misuse backstop, the engine's
-//    version check is the graceful path.
+//    version check is the graceful path. Every QueryId and session
+//    resolving to one plan shares one engine-side *slot*, so an install
+//    that delta-repairs a plan re-points its slot once, whatever the
+//    number of sessions on it, and a slot whose plan was not repaired
+//    lets go of it.
 //  - Stats() exposes the cache and scheduling counters (hits, misses,
 //    evictions, single-flight waits, session retirements, front-end
 //    choices) for tests and benchmarks to assert on.
@@ -62,6 +66,7 @@
 #include <string>
 #include <string_view>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "automaton/frontend.h"
@@ -157,15 +162,20 @@ class QueryEngine {
   /// are *upgraded* — annotation repaired by the bounded re-relaxation
   /// wave, trimmed/B-list structure patched, rank arrays rebuilt — and
   /// re-inserted under the new generation's keys instead of dropped.
-  /// Prepared queries and sessions are re-pointed at the upgraded plans;
-  /// a parked session survives when its plan's enumeration order is an
-  /// anchor across the delta (lambda unchanged: old answers keep their
-  /// relative order, so one SeekAfter on the parked walk resumes the
-  /// correct suffix of the NEW answer order). Plans whose lambda shrank
-  /// still upgrade — new sessions enumerate the new order — but their
-  /// parked sessions retire lazily as before. Repairs run on the calling
-  /// (control) thread plus helpers, num_threads() at once in total: an
-  /// install repairs every cached plan, so its cost grows with them.
+  /// The slot of each repaired plan is re-pointed at the upgrade, which
+  /// moves every QueryId and session on it at once. A parked session
+  /// survives when its plan's enumeration order is an anchor across the
+  /// delta (lambda unchanged: old answers keep their relative order, so
+  /// one SeekAfter on the parked walk resumes the correct suffix of the
+  /// NEW answer order). Plans whose lambda shrank still upgrade and bump
+  /// their slot's order epoch: unstarted sessions follow the upgrade,
+  /// started ones retire lazily on the epoch mismatch. Slots of plans
+  /// that were not repaired (evicted, unrepairable, another database)
+  /// drop their plan and their sessions retire. Cost: the repairs, run
+  /// on the calling (control) thread plus helpers, num_threads() at once
+  /// in total, plus one pass over the live slots (one per plan
+  /// registered in, or carried into, the previous generation) — never
+  /// over the sessions.
   void InstallSnapshot(Snapshot snap);
 
   /// Resolves the prepared structure for (query, source, target)
@@ -233,9 +243,22 @@ class QueryEngine {
  private:
   enum class SessionState : uint8_t { kParked, kQueued, kExhausted, kRetired };
 
+  // One per distinct registered plan: every QueryId and session that
+  // resolves to the plan holds the slot's index, so an install re-points
+  // one slot per repaired plan. The parked counts (sessions an upgrade
+  // would carry; see ParkedCountLocked) are kept as session states
+  // change, so an install reads them instead of walking sessions.
+  struct Slot {
+    std::shared_ptr<const PreparedQuery> plan;  // null once retired
+    uint64_t order_epoch = 0;     // bumped by order-changing upgrades
+    uint32_t parked_fresh = 0;    // parked, no batch run yet
+    uint32_t parked_started = 0;  // parked, started on order_epoch
+  };
+
   struct Session {
-    std::shared_ptr<const PreparedQuery> query;
+    uint32_t slot = 0;
     Walk last;                  // the parked cursor: last emitted answer
+    uint64_t epoch = 0;         // slot's order_epoch when the first batch ran
     bool started = false;       // false until the first batch ran
     SessionState state = SessionState::kParked;
   };
@@ -253,8 +276,12 @@ class QueryEngine {
   struct WorkerCache;
 
   // Registers a cache-resolved prepared query in the session-facing
-  // query table; returns its QueryId.
+  // query table (sharing the plan's slot); returns its QueryId.
   QueryId RegisterLocked(std::shared_ptr<const PreparedQuery> prepared);
+
+  // The slot count a parked \p s is kept in, or null when no upgrade
+  // can carry it (slot retired, or started before an order change).
+  uint32_t* ParkedCountLocked(const Session& s);
 
   void WorkerLoop();
   // Runs one batch against the prepared query, entirely outside the
@@ -281,7 +308,13 @@ class QueryEngine {
   const Database* installed_db_ = nullptr;
   uint64_t installed_gen_ = 0;
 
-  std::vector<std::shared_ptr<const PreparedQuery>> queries_;
+  // The session-facing tables, all guarded by mu_. Slots, QueryIds and
+  // sessions are append-only ids; a slot whose plan was not carried
+  // across an install keeps its id but releases the plan.
+  std::vector<Slot> slots_;
+  // Plan -> slot, for every slot still holding its plan.
+  std::unordered_map<const PreparedQuery*, uint32_t> slot_of_;
+  std::vector<uint32_t> queries_;  // QueryId -> slot
   std::vector<Session> sessions_;
   std::vector<int64_t> first_answer_ns_;
   uint64_t sessions_retired_ = 0;   // guarded by mu_

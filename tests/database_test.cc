@@ -1,14 +1,20 @@
 // Unit tests for Database and LabelDictionary, pinning the contract the
 // regex front-end relies on: mutable_dict() is a stable pointer into the
 // database, and Intern is idempotent, so recompiling a query inside a
-// bench loop never changes label ids or grows the dictionary.
+// bench loop never changes label ids or grows the dictionary. The
+// freeze-splice property test pins the incremental LabelIndex build and
+// the live in-neighbor lists against a from-scratch replay.
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <random>
 #include <string>
+#include <vector>
 
 #include "core/annotate.h"
 #include "core/database.h"
+#include "core/delta_annotate.h"
 #include "core/trimmed_index.h"
 #include "util/state_set.h"
 #include "workload/generators.h"
@@ -224,6 +230,122 @@ TEST(SnapshotTest, OldSnapshotStaysReadableUntilAccessedAfterMutation) {
   const LabelIndex* ix = &a.label_index();
   Snapshot b = db.Freeze();
   EXPECT_EQ(&b.label_index(), ix);
+}
+
+// Every accessor of two label indexes agrees over the first
+// \p num_vertices vertices and \p num_edges edges.
+void ExpectSameIndex(const LabelIndex& got, const LabelIndex& want,
+                     uint32_t num_vertices, uint32_t num_edges) {
+  ASSERT_EQ(got.num_vertices(), num_vertices);
+  ASSERT_EQ(got.num_edges(), num_edges);
+  for (uint32_t v = 0; v < num_vertices; ++v) {
+    std::span<const LabelIndex::Group> g = got.GroupsOf(v);
+    std::span<const LabelIndex::Group> w = want.GroupsOf(v);
+    ASSERT_EQ(g.size(), w.size()) << "vertex " << v;
+    for (size_t i = 0; i < g.size(); ++i) {
+      EXPECT_EQ(g[i].label, w[i].label) << "vertex " << v;
+      EXPECT_EQ(g[i].begin, w[i].begin) << "vertex " << v;
+      EXPECT_EQ(g[i].end, w[i].end) << "vertex " << v;
+      std::span<const LabelIndex::Target> gt = got.Targets(g[i]);
+      std::span<const LabelIndex::Target> wt = want.Targets(w[i]);
+      ASSERT_EQ(gt.size(), wt.size());
+      for (size_t j = 0; j < gt.size(); ++j) {
+        EXPECT_EQ(gt[j].edge, wt[j].edge) << "vertex " << v;
+        EXPECT_EQ(gt[j].dst, wt[j].dst) << "vertex " << v;
+      }
+    }
+    EXPECT_EQ(got.OutSpan(v), want.OutSpan(v)) << "vertex " << v;
+  }
+  for (uint32_t e = 0; e < num_edges; ++e)
+    EXPECT_EQ(got.PositionOf(e), want.PositionOf(e)) << "edge " << e;
+}
+
+// Checks \p snap (the latest freeze of \p db) against the same edges
+// replayed into a fresh Database and frozen once, and its DeltaContext
+// against the in-edges read off the edge table.
+void ExpectMatchesReplay(const Database& db, const Snapshot& snap) {
+  Database replay;
+  replay.AddVertices(db.num_vertices());
+  for (uint32_t e = 0; e < db.num_edges(); ++e)
+    replay.AddEdge(db.src(e), db.edge(e).label, db.dst(e));
+  const auto num_edges = static_cast<uint32_t>(db.num_edges());
+  ExpectSameIndex(snap.label_index(), replay.Freeze().label_index(),
+                  db.num_vertices(), num_edges);
+
+  DeltaContext ctx(snap);
+  std::vector<std::vector<uint32_t>> in(db.num_vertices());
+  for (uint32_t e = 0; e < num_edges; ++e) in[db.dst(e)].push_back(db.src(e));
+  for (uint32_t v = 0; v < db.num_vertices(); ++v) {
+    std::span<const uint32_t> got = ctx.InNeighbors(v);
+    EXPECT_EQ(std::vector<uint32_t>(got.begin(), got.end()), in[v])
+        << "vertex " << v;
+  }
+}
+
+// Freeze() splices each new LabelIndex out of the previous one. Over
+// random insert batches — vertices added between freezes with edges
+// into and out of them, a label interned after the first freeze,
+// parallel duplicates, vertex-only batches and AddVertices(0) — every
+// freeze must equal a from-scratch build, leave older snapshots' indexes
+// untouched, and re-freeze without mutation to the same index.
+TEST(FreezeSpliceTest, MatchesFromScratchBuildOverRandomInsertBatches) {
+  for (uint64_t seed : {1u, 2u, 3u}) {
+    std::mt19937_64 rng(seed);
+    Database db;
+    db.AddVertices(12);
+    auto vertex = [&] {
+      return static_cast<uint32_t>(rng() % db.num_vertices());
+    };
+    std::vector<uint32_t> labels = {db.labels().Intern("l0"),
+                                    db.labels().Intern("l1"),
+                                    db.labels().Intern("l2")};
+    auto label = [&] { return labels[rng() % labels.size()]; };
+    for (int i = 0; i < 40; ++i) db.AddEdge(vertex(), label(), vertex());
+    Snapshot snap = db.Freeze();
+    ExpectMatchesReplay(db, snap);
+    labels.push_back(db.labels().Intern("late"));  // after the first freeze
+
+    for (int round = 0; round < 40; ++round) {
+      SCOPED_TRACE(::testing::Message() << "seed " << seed << " round "
+                                        << round);
+      const std::shared_ptr<const LabelIndex> old_ix =
+          snap.shared_label_index();
+      const LabelIndex old_copy = *old_ix;
+      const uint32_t old_vertices = db.num_vertices();
+      const auto old_edges = static_cast<uint32_t>(db.num_edges());
+
+      EXPECT_EQ(db.AddVertices(0), old_vertices);
+      switch (round % 4) {
+        case 0:  // vertices only
+          db.AddVertices(1 + static_cast<uint32_t>(rng() % 3));
+          break;
+        case 1: {  // new vertices, edges into and out of them
+          const uint32_t first = db.AddVertices(2);
+          db.AddEdge(vertex(), label(), first);
+          db.AddEdge(first, label(), vertex());
+          db.AddEdge(first + 1, label(), first);
+          db.AddEdge(first, label(), first + 1);
+          break;
+        }
+        case 2:  // parallel duplicates of existing edges
+          for (int i = 0; i < 3; ++i) {
+            const Edge e = db.edge(static_cast<uint32_t>(
+                rng() % db.num_edges()));
+            db.AddEdge(e.src, e.label, e.dst);
+            db.AddEdge(e.src, e.label, e.dst);
+          }
+          break;
+        default:
+          for (uint32_t i = 0, n = 1 + rng() % 6; i < n; ++i)
+            db.AddEdge(vertex(), label(), vertex());
+          break;
+      }
+      snap = db.Freeze();
+      ExpectMatchesReplay(db, snap);
+      ExpectSameIndex(*old_ix, old_copy, old_vertices, old_edges);
+      EXPECT_EQ(db.Freeze().shared_label_index(), snap.shared_label_index());
+    }
+  }
 }
 
 #if GTEST_HAS_DEATH_TEST && !defined(NDEBUG)

@@ -14,7 +14,9 @@
 //     (they resume the correct suffix of the NEW enumeration, no
 //     kRetired); a delta that shortens lambda breaks the enumeration
 //     order anchor, so started sessions are rejected gracefully
-//     (PumpStatus::kRetired, stale index untouched).
+//     (PumpStatus::kRetired, stale index untouched) while unstarted ones
+//     follow the upgrade. Sessions share their plan's slot, and a
+//     retired generation is released, not pinned.
 //  4. The snapshot layer itself: raw reader threads sharing one
 //     Snapshot build annotations/indexes/enumerators concurrently with
 //     no engine and no synchronization.
@@ -25,6 +27,7 @@
 #include <atomic>
 #include <cstdint>
 #include <future>
+#include <memory>
 #include <random>
 #include <thread>
 #include <vector>
@@ -346,6 +349,149 @@ TEST(QueryEngineTest, ParkedSessionsSurviveInsertOnlyInstall) {
   EXPECT_EQ(rest.status, PumpStatus::kExhausted);
   EXPECT_EQ(Edges(rest.walks), want);
   EXPECT_EQ(engine.Stats().sessions_retired, 0u);
+}
+
+// Every QueryId and session on one plan share its slot, so an install
+// re-points the slot, not the sessions. Two lambda-preserving installs
+// back to back re-point it twice; the parked session then resumes the
+// exact suffix of the newest snapshot's order.
+TEST(QueryEngineTest, ParkedSessionSurvivesBackToBackInstalls) {
+  Instance inst = BubbleChain(6, 2);
+  Nfa query = StaircaseNfa(2, 2);
+  Snapshot snap = inst.db.Freeze();
+  QueryEngine engine(2);
+  engine.InstallSnapshot(snap);
+  SessionId s =
+      engine.OpenSession(engine.Prepare(query, inst.source, inst.target));
+  PumpResult first = engine.Pump(s, 5);
+  ASSERT_EQ(first.status, PumpStatus::kOk);
+  ASSERT_EQ(first.walks.size(), 5u);
+
+  Snapshot latest;
+  for (uint32_t id = 0; id < 2; ++id) {
+    inst.db.AddEdge(inst.db.src(id), inst.db.edge(id).label,
+                    inst.db.dst(id));
+    latest = inst.db.Freeze();
+    engine.InstallSnapshot(latest);
+    EXPECT_EQ(engine.Stats().plans_upgraded, id + 1u);
+    EXPECT_EQ(engine.Stats().sessions_upgraded, id + 1u);
+  }
+
+  EdgeSeq expected = Oracle(latest, query, inst.source, inst.target);
+  auto anchor = std::find(expected.begin(), expected.end(),
+                          first.walks.back().edges);
+  ASSERT_NE(anchor, expected.end());
+  PumpResult rest = engine.Drain(s, 7);
+  EXPECT_EQ(rest.status, PumpStatus::kExhausted);
+  EXPECT_EQ(Edges(rest.walks), EdgeSeq(anchor + 1, expected.end()));
+  EXPECT_EQ(engine.Stats().sessions_retired, 0u);
+}
+
+// A lambda-shrinking upgrade bumps the slot's order epoch: a session
+// opened before the install but never pumped follows the upgrade and
+// drains the new snapshot's answers in full, while a started session
+// on the same slot retires.
+TEST(QueryEngineTest, UnstartedSessionFollowsLambdaShrinkingInstall) {
+  Instance inst = BubbleChain(5, 2);
+  Nfa query = StaircaseNfa(2, 2);
+  Snapshot snap = inst.db.Freeze();
+  QueryEngine engine(2);
+  engine.InstallSnapshot(snap);
+  QueryId q = engine.Prepare(query, inst.source, inst.target);
+  SessionId started = engine.OpenSession(q);
+  ASSERT_EQ(engine.Pump(started, 4).status, PumpStatus::kOk);
+  SessionId fresh = engine.OpenSession(q);
+
+  // The two-edge shortcut drops lambda from 10 to 2.
+  uint32_t mid = inst.db.AddVertex();
+  inst.db.AddEdge(inst.source, 0u, mid);
+  inst.db.AddEdge(mid, 0u, inst.target);
+  Snapshot snap2 = inst.db.Freeze();
+  engine.InstallSnapshot(snap2);
+  EXPECT_EQ(engine.Stats().plans_upgraded, 1u);
+  EXPECT_EQ(engine.Stats().sessions_upgraded, 1u);  // the unstarted one
+
+  // A lambda-preserving install next carries the unstarted session
+  // again, but not the started one the epoch bump already doomed.
+  inst.db.AddEdge(inst.db.src(0), inst.db.edge(0).label, inst.db.dst(0));
+  Snapshot snap3 = inst.db.Freeze();
+  engine.InstallSnapshot(snap3);
+  EXPECT_EQ(engine.Stats().plans_upgraded, 2u);
+  EXPECT_EQ(engine.Stats().sessions_upgraded, 2u);
+
+  PumpResult all = engine.Drain(fresh, 3);
+  EXPECT_EQ(all.status, PumpStatus::kExhausted);
+  EXPECT_EQ(Edges(all.walks), Oracle(snap3, query, inst.source, inst.target));
+  EXPECT_EQ(engine.Pump(started, 4).status, PumpStatus::kRetired);
+}
+
+// A plan evicted before the install is not repaired, so its slot lets go
+// of it: a started session on it retires, stickily, and so does any new
+// session opened on the same QueryId; nothing pins the old generation.
+// Re-preparing builds afresh.
+TEST(QueryEngineTest, SessionOnAnEvictedPlanRetiresAtInstall) {
+  Instance inst = BubbleChain(6, 2);
+  Nfa query = StaircaseNfa(2, 2);
+  Snapshot snap = inst.db.Freeze();
+  const std::weak_ptr<const LabelIndex> old_index =
+      snap.shared_label_index();
+  // A one-byte budget keeps exactly one (oversized) plan resident.
+  QueryEngine engine(EngineOptions{.num_threads = 1, .plan_cache_bytes = 1});
+  engine.InstallSnapshot(snap);
+  QueryId q = engine.Prepare(query, inst.source, inst.target);
+  SessionId s = engine.OpenSession(q);
+  ASSERT_EQ(engine.Pump(s, 3).status, PumpStatus::kOk);
+  engine.Prepare(StaircaseNfa(1, 2), inst.source, inst.target);
+  ASSERT_EQ(engine.Stats().plan_cache.evictions, 1u);
+
+  // Lambda-preserving: only the eviction keeps the session from
+  // surviving.
+  inst.db.AddEdge(inst.db.src(0), inst.db.edge(0).label, inst.db.dst(0));
+  Snapshot snap2 = inst.db.Freeze();
+  engine.InstallSnapshot(snap2);
+  EXPECT_EQ(engine.Stats().plans_upgraded, 1u);  // the resident plan
+  EXPECT_EQ(engine.Stats().sessions_upgraded, 0u);
+
+  EXPECT_EQ(engine.Pump(s, 3).status, PumpStatus::kRetired);
+  EXPECT_EQ(engine.Pump(s, 3).status, PumpStatus::kRetired);
+  EXPECT_EQ(engine.Pump(engine.OpenSession(q), 3).status,
+            PumpStatus::kRetired);
+  EXPECT_EQ(engine.Stats().sessions_retired, 2u);
+  EXPECT_EQ(old_index.use_count(), 1);  // `snap` alone
+
+  PumpResult all = engine.Drain(
+      engine.OpenSession(engine.Prepare(query, inst.source, inst.target)), 8);
+  EXPECT_EQ(all.status, PumpStatus::kExhausted);
+  EXPECT_EQ(Edges(all.walks), Oracle(snap2, query, inst.source, inst.target));
+}
+
+// Nothing in the engine keeps a retired generation alive: after a
+// lambda-changing install, the retired session holds no plan, and the
+// worker drops the old generation's enumerator at its first job. Only
+// the test's own snapshot still owns the old LabelIndex.
+TEST(QueryEngineTest, RetiredGenerationIsReleased) {
+  Instance inst = BubbleChain(5, 2);
+  Nfa query = StaircaseNfa(2, 2);
+  Snapshot snap = inst.db.Freeze();
+  const std::weak_ptr<const LabelIndex> old_index =
+      snap.shared_label_index();
+  QueryEngine engine(1);
+  engine.InstallSnapshot(snap);
+  QueryId q = engine.Prepare(query, inst.source, inst.target);
+  SessionId s_old = engine.OpenSession(q);
+  ASSERT_EQ(engine.Pump(s_old, 4).status, PumpStatus::kOk);
+
+  uint32_t mid = inst.db.AddVertex();
+  inst.db.AddEdge(inst.source, 0u, mid);
+  inst.db.AddEdge(mid, 0u, inst.target);
+  Snapshot snap2 = inst.db.Freeze();
+  engine.InstallSnapshot(snap2);
+
+  EXPECT_EQ(engine.Pump(s_old, 4).status, PumpStatus::kRetired);
+  PumpResult all = engine.Drain(engine.OpenSession(q), 8);
+  EXPECT_EQ(all.status, PumpStatus::kExhausted);
+  EXPECT_EQ(Edges(all.walks), Oracle(snap2, query, inst.source, inst.target));
+  EXPECT_EQ(old_index.use_count(), 1);  // `snap` alone
 }
 
 // No engine: the snapshot layer alone must let raw threads share one

@@ -33,6 +33,7 @@ Usage:
   check_bench_regression.py BASELINE.json CURRENT.json --threshold 3.0
   check_bench_regression.py BASELINE.json CURRENT.json \
       --threshold 2.0 --threshold 'BM_FastPath_Simple/10=1.3'
+  check_bench_regression.py CURRENT.json --ratio 'BM_Slow/BM_Fast>=3'
   check_bench_regression.py --self-test
 
 --threshold is repeatable: a bare float sets the global threshold, a
@@ -43,6 +44,13 @@ The geomean check always uses the global threshold (a per-benchmark
 number for a whole-suite metric would be meaningless). Overrides
 naming benchmarks absent from the comparison only warn, so a renamed
 benchmark doesn't brick the job — but watch the log.
+
+--ratio 'NUM/DEN>=X' (repeatable) is the same-run speedup gate: it
+takes ONE run JSON and fails unless real_time(NUM) / real_time(DEN) is
+at least X, where NUM and DEN are exact benchmark names from that run.
+Names may contain '/', so the spec is split at the one '/' that leaves
+a benchmark of the run on both sides. A missing arm fails the gate —
+an arm that silently vanished must not pass it.
 
 The global threshold defaults to 2.0; a bare positional third argument
 is the legacy spelling of --threshold, and DSW_BENCH_THRESHOLD
@@ -148,6 +156,49 @@ def check(baseline_path, current_path, threshold, overrides=None):
     return 0
 
 
+_NS_PER_UNIT = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
+
+
+def load_real_times(path):
+    """real_time per benchmark in ns (arms may report different units)."""
+    with open(path) as f:
+        data = json.load(f)
+    return {b["name"]: float(b["real_time"])
+            * _NS_PER_UNIT[b.get("time_unit", "ns")]
+            for b in data.get("benchmarks", [])
+            if b.get("run_type") != "aggregate"}
+
+
+def check_ratio(current_path, spec):
+    """One --ratio gate over one run; returns a process exit code."""
+    times = load_real_times(current_path)
+    names, sep, bound = spec.rpartition(">=")
+    try:
+        bound = float(bound)
+    except ValueError:
+        sep = ""
+    if not sep:
+        print(f"error: bad --ratio {spec!r} (want 'NUM/DEN>=X')")
+        return 2
+    names = names.strip()
+    splits = [(names[:i].strip(), names[i + 1:].strip())
+              for i, c in enumerate(names) if c == "/"]
+    found = [(n, d) for n, d in splits if n in times and d in times]
+    if len(found) != 1:
+        print(f"FAIL: --ratio {spec!r}: {len(found)} ways to read it as two "
+              f"benchmarks of {current_path} (missing or renamed arm?)")
+        return 1
+    num, den = found[0]
+    ratio = times[num] / times[den]
+    print(f"{num} / {den}: {times[num]:.4g} / {times[den]:.4g} ns real_time "
+          f"= {ratio:.2f}x (gate >= {bound:g}x)")
+    if ratio < bound:
+        print(f"FAIL: ratio {ratio:.2f}x below {bound:g}x")
+        return 1
+    print("OK")
+    return 0
+
+
 # ------------------------------------------------------------ self-test
 
 def _fixture(path, times):
@@ -194,7 +245,30 @@ def self_test():
          {**base_times, "BM_new/1": 9e9}, 2.0, {}, 0),
         ("disjoint suites are an error", {"BM_other": 10.0}, 2.0, {}, 1),
     ]
+    ratio_times = {"BM_Cold": 5000.0, "BM_Warm": 100.0,
+                   "BM_Full/permille:10": 900.0,
+                   "BM_Delta/permille:10": 200.0}
+    ratio_cases = [
+        ("ratio above the bound passes", "BM_Cold/BM_Warm>=10", 0),
+        ("names containing '/' resolve", "BM_Full/permille:10/"
+         "BM_Delta/permille:10>=3", 0),
+        ("ratio below the bound fails", "BM_Full/permille:10/"
+         "BM_Delta/permille:10>=5", 1),
+        ("a missing arm fails", "BM_Cold/BM_Gone>=1", 1),
+        ("a malformed spec is an error", "BM_Cold/BM_Warm>10", 2),
+    ]
     failures = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        run_path = os.path.join(tmp, "run.json")
+        _fixture(run_path, ratio_times)
+        for label, spec, expected in ratio_cases:
+            print(f"--- self-test: {label} (expect exit {expected}) ---")
+            got = check_ratio(run_path, spec)
+            if got != expected:
+                print(f"SELF-TEST FAIL: {label}: exit {got}, "
+                      f"expected {expected}")
+                failures += 1
+            print()
     with tempfile.TemporaryDirectory() as tmp:
         base_path = os.path.join(tmp, "base.json")
         cur_path = os.path.join(tmp, "cur.json")
@@ -208,10 +282,11 @@ def self_test():
                       f"expected {expected}")
                 failures += 1
             print()
+    total = len(cases) + len(ratio_cases)
     if failures:
-        print(f"self-test: {failures}/{len(cases)} cases FAILED")
+        print(f"self-test: {failures}/{total} cases FAILED")
         return 1
-    print(f"self-test: all {len(cases)} cases passed")
+    print(f"self-test: all {total} cases passed")
     return 0
 
 
@@ -228,12 +303,22 @@ def main(argv):
                              "threshold (default 2.0, or "
                              "DSW_BENCH_THRESHOLD); NAME=FACTOR overrides "
                              "the normalized check for one benchmark")
+    parser.add_argument("--ratio", action="append", default=None,
+                        metavar="NUM/DEN>=X",
+                        help="repeatable: gate real_time(NUM) / "
+                             "real_time(DEN) >= X within ONE run JSON "
+                             "(the only positional argument)")
     parser.add_argument("--self-test", action="store_true",
                         help="run the checker against synthetic fixtures")
     args = parser.parse_args(argv[1:])
 
     if args.self_test:
         return self_test()
+    if args.ratio:
+        if args.baseline is None or args.current is not None:
+            parser.print_usage()
+            return 2
+        return max(check_ratio(args.baseline, spec) for spec in args.ratio)
     if args.baseline is None or args.current is None:
         parser.print_usage()
         return 2
