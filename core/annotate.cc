@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "core/shard_plan.h"
-#include "core/sharded_annotate.h"
 #include "util/word_kernel.h"
 
 namespace dsw {
@@ -12,12 +10,11 @@ namespace {
 
 constexpr uint32_t kNoSlot = UINT32_MAX;
 
-// The sequential product BFS, templated over the word kernel (the
-// execution-tier layer, util/word_kernel.h): MultiWordKernel is the
-// pre-tier loop structure verbatim, SingleWordKernel collapses every
-// per-set loop to one uint64_t op for |Q| <= 64. Fills ann->levels and
-// ann->lambda; the caller has already seeded the metadata and rejected
-// the trivial cases.
+// The product BFS, templated over the word kernel (the execution-tier
+// layer, util/word_kernel.h): MultiWordKernel is the pre-tier loop
+// structure verbatim, SingleWordKernel collapses every per-set loop to
+// one uint64_t op for |Q| <= 64. Fills ann->levels and ann->lambda; the
+// caller has already seeded the metadata and rejected the trivial cases.
 template <typename Kernel>
 void ProductBfs(const Snapshot& snap, const Nfa& query, Kernel ker,
                 Annotation* out) {
@@ -131,9 +128,6 @@ void ProductBfs(const Snapshot& snap, const Nfa& query, Kernel ker,
 
 Annotation Annotate(const Snapshot& snap, const Nfa& query, uint32_t source,
                     uint32_t target, const AnnotateOptions& opts) {
-  if (ShardPlan::ClampShards(opts.num_shards, snap.num_vertices()) > 1)
-    return ShardedAnnotate(snap, query, source, target, opts);
-
   Annotation ann;
   ann.num_states = query.num_states();
   ann.source = source;
@@ -188,10 +182,7 @@ Annotation MultiSourceAnnotation::Slice(size_t j) const {
 MultiSourceAnnotation AnnotateMultiSource(const Snapshot& snap,
                                           const Nfa& query,
                                           const std::vector<uint32_t>& sources,
-                                          uint32_t target,
-                                          const AnnotateOptions& opts) {
-  (void)opts;  // sharding n/a: the block dimension is the parallelism here
-
+                                          uint32_t target) {
   MultiSourceAnnotation ms;
   ms.num_states = query.num_states();
   ms.num_blocks = static_cast<uint32_t>(sources.size());

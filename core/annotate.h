@@ -50,30 +50,14 @@
 
 namespace dsw {
 
-/// Knobs of the preprocessing stages (annotate + trim). num_shards = 1
-/// is the sequential path; > 1 partitions the vertices into that many
-/// shards (clamped, see ShardPlan::ClampShards) and runs the product
-/// BFS and the backward trim sweep Pregel-style — one thread per shard,
-/// supersteps per BFS level, (dst-vertex, state-set-delta) word messages
-/// over per-(src-shard, dst-shard) SPSC rings — producing results
-/// bit-identical to the sequential path (core/sharded_annotate.h).
-/// The engine's Prepare() forwards these, so sharding is opt-in per
-/// query.
+/// Knobs of the preprocessing stages (annotate + trim).
 struct AnnotateOptions {
-  uint32_t num_shards = 1;
-  /// Per-(src-shard, dst-shard) ring capacity in words; 0 picks the
-  /// default (1 << 12). Tiny values are legal (the rings apply
-  /// backpressure, they never drop) — the stress tests shrink this to
-  /// force the full-ring path.
-  size_t ring_capacity_words = 0;
   /// Test/bench knob for the execution-tier layer (util/word_kernel.h):
-  /// when true, the sequential annotate and trim sweeps run the generic
-  /// multi-word kernels even for one-word (|Q| <= 64) queries, instead
-  /// of dispatching to the collapsed single-word kernels. Results are
-  /// bit-identical either way (asserted by tests/exec_tier_test.cc);
-  /// bench_fastpath uses the flag to measure the kernel win in
-  /// isolation. No effect on the sharded path, which always runs the
-  /// generic loops.
+  /// when true, annotate and trim run the generic multi-word kernels
+  /// even for one-word (|Q| <= 64) queries, instead of dispatching to
+  /// the collapsed single-word kernels. Results are bit-identical either
+  /// way (asserted by tests/exec_tier_test.cc); bench_fastpath uses the
+  /// flag to measure the kernel win in isolation.
   bool force_multi_word = false;
 };
 
@@ -198,22 +182,20 @@ struct MultiSourceAnnotation {
 };
 
 /// Runs one product BFS that annotates from every source in \p sources
-/// at once (block-replicated; see MultiSourceAnnotation). Sequential —
-/// the batch dimension already saturates the word-level parallelism
-/// that sharding would otherwise chase, so \p opts' num_shards is
-/// ignored here. Duplicate sources are legal (independent equal
+/// at once (block-replicated; see MultiSourceAnnotation), on the
+/// generic word loops: the block dimension is the word-level
+/// parallelism here. Duplicate sources are legal (independent equal
 /// blocks); invalid sources yield lambda = -1 slices.
 MultiSourceAnnotation AnnotateMultiSource(const Snapshot& snap,
                                           const Nfa& query,
                                           const std::vector<uint32_t>& sources,
-                                          uint32_t target,
-                                          const AnnotateOptions& opts = {});
+                                          uint32_t target);
 
-/// Runs the product BFS against a frozen snapshot. The snapshot carries
-/// the label-stratified adjacency built at Freeze() time, so annotation
-/// is a pure read — any number of Annotate calls can run concurrently
-/// against one shared Snapshot (each sharded call spawns and joins its
-/// own worker threads internally; the result is identical either way).
+/// Runs the product BFS against a frozen snapshot, on the calling
+/// thread. The snapshot carries the label-stratified adjacency built at
+/// Freeze() time, so annotation is a pure read — any number of Annotate
+/// calls can run concurrently against one shared Snapshot. \p opts only
+/// selects the word kernel (see AnnotateOptions).
 Annotation Annotate(const Snapshot& snap, const Nfa& query, uint32_t source,
                     uint32_t target, const AnnotateOptions& opts = {});
 

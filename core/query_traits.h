@@ -18,8 +18,9 @@
 // conservative. It is also cheap — O(|Delta|) over the query plus an
 // early-exit O(|E|) label scan over the snapshot (bench_fastpath's
 // Detection arm measures it) — which is why the engine runs it on every
-// Prepare and records the tier on the cached plan (EngineStats counts
-// per-tier prepares).
+// plan build (not on cache hits) and records the tier on the cached plan
+// (EngineStats counts per-tier prepares). Delta repair re-checks only
+// the data half, once per install.
 
 #ifndef DSW_CORE_QUERY_TRAITS_H_
 #define DSW_CORE_QUERY_TRAITS_H_

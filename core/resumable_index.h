@@ -57,8 +57,8 @@ class ResumableIndex {
   /// concurrently with other readers. Release builds never consult the
   /// database after construction; debug builds keep a back-pointer for
   /// the stale-snapshot assertion (TrimmedIndex::AssertFresh), so there
-  /// the database must outlive the index. \p opts selects the sequential
-  /// or sharded backward sweep (same structure either way).
+  /// the database must outlive the index. \p opts selects the word
+  /// kernel of the backward sweep (same structure either way).
   ResumableIndex(const Snapshot& snap, const Annotation& ann,
                  const AnnotateOptions& opts = {});
 

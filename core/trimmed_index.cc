@@ -1,8 +1,5 @@
 #include "core/trimmed_index.h"
 
-#include "core/shard_plan.h"
-#include "core/sharded_annotate.h"
-
 namespace dsw {
 
 namespace trim_detail {
@@ -98,17 +95,6 @@ bool TrimVertex(const LabelIndex& adj, const CompiledDelta& delta,
 
 TrimmedIndex::TrimmedIndex(const Snapshot& snap, const Annotation& ann,
                            const AnnotateOptions& opts) {
-  if (ShardPlan::ClampShards(opts.num_shards, snap.num_vertices()) > 1 &&
-      ann.reachable()) {
-    ShardedTrimBuild(*this, snap, ann, opts);
-    return;
-  }
-  BuildSequential(snap, ann, opts.force_multi_word);
-}
-
-void TrimmedIndex::BuildSequential(const Snapshot& snap,
-                                   const Annotation& ann,
-                                   bool force_multi_word) {
   db_ = &snap.db();
   generation_ = snap.generation();
   if (!ann.reachable()) return;
@@ -138,7 +124,7 @@ void TrimmedIndex::BuildSequential(const Snapshot& snap,
   // would only duplicate moves. The after side is already inside the
   // delta rows. The per-vertex unit (word-parallel reverse-row move
   // sets, candidate list, B-list block) lives in trim_detail::TrimVertex,
-  // shared with the sharded builder.
+  // shared with delta repair.
   const LabelIndex& adj = snap.label_index();
   const CompiledDelta& delta = ann.delta;
   trim_detail::Scratch scratch(ann.num_states);
@@ -153,7 +139,7 @@ void TrimmedIndex::BuildSequential(const Snapshot& snap,
       const size_t block_off = nxt_pool_.size();
       if (!trim_detail::TrimVertex(adj, delta, wps_, v, level.states(vi),
                                    next_useful, &scratch, &cand_pool_,
-                                   &nxt_pool_, force_multi_word))
+                                   &nxt_pool_, opts.force_multi_word))
         continue;
       useful_[i].Append(v, scratch.useful_here.words());
       cand_ranges_[i].emplace_back(cand_begin,

@@ -152,10 +152,8 @@ class TrimmedIndex {
   /// Builds the trimmed structure from a frozen snapshot (one backward
   /// sweep over the annotation); a pure read of the snapshot, safe to
   /// run concurrently with other readers. The snapshot's generation is
-  /// recorded for the AssertFresh staleness check. With
-  /// opts.num_shards > 1 the sweep runs sharded (one thread per shard,
-  /// superstep per level; core/sharded_annotate.h) and produces a
-  /// bit-identical structure.
+  /// recorded for the AssertFresh staleness check. \p opts only selects
+  /// the word kernel (AnnotateOptions::force_multi_word).
   TrimmedIndex(const Snapshot& snap, const Annotation& ann,
                const AnnotateOptions& opts = {});
 
@@ -246,10 +244,6 @@ class TrimmedIndex {
   }
 
  private:
-  // The sharded builder (core/sharded_annotate.cc) assembles the same
-  // private structure from per-shard pieces.
-  friend void ShardedTrimBuild(TrimmedIndex&, const Snapshot&,
-                               const Annotation&, const AnnotateOptions&);
   // The delta-repair path (core/delta_annotate.cc) assembles a patched
   // copy of an existing index against an insert-only edge delta. It
   // reads the old index through these private members on purpose: the
@@ -258,12 +252,6 @@ class TrimmedIndex {
   // being copied are exactly what the repair needs.
   friend class DeltaTrimmer;
   TrimmedIndex() = default;
-
-  // The sequential backward sweep (the num_shards <= 1 path).
-  // force_multi_word forwards AnnotateOptions::force_multi_word to the
-  // per-vertex kernel dispatch.
-  void BuildSequential(const Snapshot& snap, const Annotation& ann,
-                       bool force_multi_word = false);
 
   uint32_t wps_ = 0;
   std::vector<LevelSets> useful_;  // per level, sorted vertices
@@ -284,7 +272,7 @@ class TrimmedIndex {
 
 namespace trim_detail {
 
-/// Scratch reused across TrimVertex calls by one sweeping thread.
+/// Scratch reused across TrimVertex calls by one sweep.
 struct Scratch {
   explicit Scratch(uint32_t num_states)
       : useful_here(num_states), edge_q(num_states) {}
@@ -294,16 +282,16 @@ struct Scratch {
 };
 
 /// The per-vertex unit of the backward sweep, shared verbatim between
-/// the sequential TrimmedIndex constructor and the sharded builder —
-/// which is what makes the two paths bit-identical by construction.
+/// the TrimmedIndex constructor and delta repair (core/delta_annotate.cc,
+/// which re-trims only the vertices an edge delta dirtied) — which is
+/// what makes a repaired index bit-identical to a from-scratch one.
 /// Appends the candidate edges of annotated vertex \p v (state set
 /// \p states) to *cand_pool, and — iff v turns out useful — its B-list
 /// block to *nxt_pool; returns that usefulness, with the useful set
 /// left in scratch->useful_here. CandidateEdge::next_pos is a position
-/// into \p next_useful, so passing the *merged* next level keeps the
-/// sharded build's positions global. Dispatches to the single-word
-/// kernel when wps == 1 unless \p force_multi_word (results are
-/// bit-identical either way).
+/// into \p next_useful. Dispatches to the single-word kernel when
+/// wps == 1 unless \p force_multi_word (results are bit-identical
+/// either way).
 bool TrimVertex(const LabelIndex& adj, const CompiledDelta& delta,
                 uint32_t wps, uint32_t v, StateSetView states,
                 const LevelSets& next_useful, Scratch* scratch,

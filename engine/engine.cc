@@ -80,7 +80,6 @@ struct QueryEngine::WorkerCache {
 
 QueryEngine::QueryEngine(const EngineOptions& options)
     : worker_cache_entries_(std::max(options.worker_cache_entries, 1u)),
-      incremental_install_(options.incremental_install),
       cache_(options.plan_cache_bytes) {
   uint32_t num_threads = std::max(options.num_threads, 1u);
   workers_.reserve(num_threads);
@@ -115,8 +114,11 @@ struct RepairedPlan {
   bool order_preserved = false;
 };
 
+// \p single_labeled is DataSingleLabeled(snap), computed once per
+// install by the caller; only kSimple plans read it.
 RepairedPlan RepairPlan(const Snapshot& snap, const EdgeDelta& delta,
-                        const DeltaContext& ctx, const PreparedQuery& old) {
+                        const DeltaContext& ctx, bool single_labeled,
+                        const PreparedQuery& old) {
   RepairedPlan out;
   Annotation ann = old.ann;
   AnnotationRepair rep = DeltaAnnotate(snap, delta, &ann);
@@ -127,7 +129,7 @@ RepairedPlan RepairPlan(const Snapshot& snap, const EdgeDelta& delta,
   // kSimple plan's data a second label — recheck and demote (the query
   // half of the classification cannot change, so no promotion exists).
   ExecTier tier = old.tier;
-  if (tier == ExecTier::kSimple && !DataSingleLabeled(snap))
+  if (tier == ExecTier::kSimple && !single_labeled)
     tier = ann.num_states <= 64 ? ExecTier::kSingleWord : ExecTier::kGeneral;
   out.value = std::make_shared<const PreparedQuery>(
       snap, std::move(ann), std::move(trimmed), tier);
@@ -160,8 +162,7 @@ void QueryEngine::InstallSnapshot(Snapshot snap) {
   // plans for repair instead of letting Invalidate drop them.
   std::vector<std::pair<PlanKey, PlanCache::Value>> old_entries;
   EdgeDelta delta;
-  if (incremental_install_ && prev && &prev.db() == db &&
-      prev.generation() != gen) {
+  if (prev && &prev.db() == db && prev.generation() != gen) {
     delta = snap.DeltaFrom(prev.generation());
     if (delta.known)
       old_entries = cache_.TakeGeneration(db, prev.generation());
@@ -180,10 +181,18 @@ void QueryEngine::InstallSnapshot(Snapshot snap) {
   std::vector<RepairedPlan> repairs(old_entries.size());
   if (!old_entries.empty()) {
     DeltaContext ctx(snap);
+    // The data half of the kSimple tier, scanned once for all plans.
+    const bool single_labeled =
+        std::any_of(old_entries.begin(), old_entries.end(),
+                    [](const auto& e) {
+                      return e.second->tier == ExecTier::kSimple;
+                    }) &&
+        DataSingleLabeled(snap);
     std::atomic<size_t> next{0};
     auto repair_some = [&] {
       for (size_t i; (i = next.fetch_add(1)) < old_entries.size();)
-        repairs[i] = RepairPlan(snap, delta, ctx, *old_entries[i].second);
+        repairs[i] = RepairPlan(snap, delta, ctx, single_labeled,
+                                *old_entries[i].second);
     };
     // std::async futures join on destruction, exception paths included.
     std::vector<std::future<void>> helpers;
@@ -260,7 +269,7 @@ uint32_t* QueryEngine::ParkedCountLocked(const Session& s) {
 }
 
 QueryId QueryEngine::Prepare(const Nfa& query, uint32_t source,
-                             uint32_t target, const AnnotateOptions& opts) {
+                             uint32_t target) {
   Snapshot snap;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -276,9 +285,9 @@ QueryId QueryEngine::Prepare(const Nfa& query, uint32_t source,
   // keys proceed in parallel, all against the same frozen snapshot;
   // misses on the SAME key build once (single-flight).
   std::shared_ptr<const PreparedQuery> prepared = cache_.GetOrBuild(
-      key, [&snap, &query, source, target, &opts] {
+      key, [&snap, &query, source, target] {
         return std::make_shared<const PreparedQuery>(snap, query, source,
-                                                     target, opts);
+                                                     target);
       });
   BumpTier(prepared->tier);
   std::lock_guard<std::mutex> lock(mu_);
@@ -300,8 +309,8 @@ void QueryEngine::BumpTier(ExecTier tier) {
 }
 
 std::vector<QueryId> QueryEngine::PrepareBatch(
-    const Nfa& query, const std::vector<uint32_t>& sources, uint32_t target,
-    const AnnotateOptions& opts) {
+    const Nfa& query, const std::vector<uint32_t>& sources,
+    uint32_t target) {
   Snapshot snap;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -310,9 +319,6 @@ std::vector<QueryId> QueryEngine::PrepareBatch(
     snap = snapshot_;
   }
   CanonicalAutomaton canon = CanonicalizeAutomaton(query);
-  // Tier depends only on (snapshot, query), not the source: classify
-  // once for the whole batch.
-  const ExecTier tier = ClassifyQuery(snap, query).tier;
   std::vector<PlanKey> keys;
   keys.reserve(sources.size());
   for (uint32_t s : sources)
@@ -322,18 +328,20 @@ std::vector<QueryId> QueryEngine::PrepareBatch(
   // each slice is bit-identical to a per-source Annotate, so cache
   // entries filled here and by single Prepare() are interchangeable.
   std::vector<PlanCache::Value> values = cache_.GetOrBuildBatch(
-      keys, [&snap, &query, &sources, target, &opts,
-             tier](const std::vector<size_t>& idx) {
+      keys, [&snap, &query, &sources, target](const std::vector<size_t>& idx) {
+        // Tier depends only on (snapshot, query), not the source:
+        // classify once per build, and not at all when every source hits.
+        const ExecTier tier = ClassifyQuery(snap, query).tier;
         std::vector<uint32_t> batch_sources;
         batch_sources.reserve(idx.size());
         for (size_t i : idx) batch_sources.push_back(sources[i]);
         MultiSourceAnnotation ms =
-            AnnotateMultiSource(snap, query, batch_sources, target, opts);
+            AnnotateMultiSource(snap, query, batch_sources, target);
         std::vector<PlanCache::Value> built;
         built.reserve(idx.size());
         for (size_t j = 0; j < idx.size(); ++j)
-          built.push_back(std::make_shared<const PreparedQuery>(
-              snap, ms.Slice(j), opts, tier));
+          built.push_back(
+              std::make_shared<const PreparedQuery>(snap, ms.Slice(j), tier));
         return built;
       });
   std::vector<QueryId> ids;
@@ -346,8 +354,8 @@ std::vector<QueryId> QueryEngine::PrepareBatch(
 
 PrepareRegexResult QueryEngine::PrepareRegex(std::string_view pattern,
                                              LabelDictionary* dict,
-                                             uint32_t source, uint32_t target,
-                                             const AnnotateOptions& opts) {
+                                             uint32_t source,
+                                             uint32_t target) {
   PrepareRegexResult result;
   RegexParseResult parsed = ParseRegex(pattern);
   if (!parsed.ok()) {
@@ -359,17 +367,22 @@ PrepareRegexResult QueryEngine::PrepareRegex(std::string_view pattern,
   (compiled.frontend == Frontend::kThompson ? frontend_thompson_
                                             : frontend_glushkov_)
       .fetch_add(1, std::memory_order_relaxed);
-  result.id = Prepare(compiled.nfa, source, target, opts);
+  result.id = Prepare(compiled.nfa, source, target);
   result.ok = true;
   return result;
 }
 
 SessionId QueryEngine::OpenSession(QueryId query) {
   std::lock_guard<std::mutex> lock(mu_);
-  assert(query < queries_.size() && "OpenSession: unknown query");
   Session s;
-  s.slot = queries_[query];
-  if (uint32_t* parked = ParkedCountLocked(s)) ++*parked;
+  if (query < queries_.size()) {
+    s.slot = queries_[query];
+    if (uint32_t* parked = ParkedCountLocked(s)) ++*parked;
+  } else {
+    // An id this engine never handed out: the session exists, but only
+    // to report kRetired, and is not counted as a retirement.
+    s.state = SessionState::kRetired;
+  }
   sessions_.push_back(std::move(s));
   return static_cast<SessionId>(sessions_.size() - 1);
 }
@@ -380,7 +393,10 @@ std::future<PumpResult> QueryEngine::PumpAsync(SessionId session,
   std::future<PumpResult> future = promise.get_future();
   {
     std::lock_guard<std::mutex> lock(mu_);
-    assert(session < sessions_.size() && "PumpAsync: unknown session");
+    if (session >= sessions_.size()) {  // never handed out
+      promise.set_value(PumpResult{PumpStatus::kRetired, {}});
+      return future;
+    }
     Session& s = sessions_[session];
     switch (s.state) {
       case SessionState::kQueued:

@@ -70,7 +70,6 @@
 #include <vector>
 
 #include "automaton/frontend.h"
-#include "core/annotate.h"
 #include "core/database.h"
 #include "core/nfa.h"
 #include "core/resumable_index.h"
@@ -104,14 +103,6 @@ struct EngineOptions {
   /// per-thread memory across distinct prepared queries; evicted
   /// enumerators are rebuilt on demand (sessions are memoryless).
   uint32_t worker_cache_entries = 8;
-  /// When true (the default), InstallSnapshot upgrades same-database
-  /// plan-cache entries across an insert-only delta by delta repair
-  /// (core/delta_annotate.h) instead of dropping them, and parked
-  /// sessions whose enumeration order survived (lambda unchanged)
-  /// resume via SeekAfter rather than being retired. False restores the
-  /// drop-everything behavior — the bench's comparison arm and the
-  /// kill-switch if a repair bug is ever suspected in production.
-  bool incremental_install = true;
 };
 
 /// Observability counters; a consistent point-in-time copy via Stats().
@@ -155,13 +146,14 @@ class QueryEngine {
   /// Sessions and prepared queries of any older install are retired:
   /// their next pump returns PumpStatus::kRetired.
   ///
-  /// Incremental path (EngineOptions::incremental_install): when the new
-  /// snapshot is a later generation of the SAME database and its delta
-  /// against the previous install is a known insert-only suffix
-  /// (Snapshot::DeltaFrom), the previous generation's plan-cache entries
-  /// are *upgraded* — annotation repaired by the bounded re-relaxation
-  /// wave, trimmed/B-list structure patched, rank arrays rebuilt — and
-  /// re-inserted under the new generation's keys instead of dropped.
+  /// Incremental path: when the new snapshot is a later generation of
+  /// the SAME database and its delta against the previous install is a
+  /// known insert-only suffix (Snapshot::DeltaFrom), the previous
+  /// generation's plan-cache entries are *upgraded* — annotation
+  /// repaired by the bounded re-relaxation wave, trimmed/B-list
+  /// structure patched, rank arrays rebuilt — and re-inserted under the
+  /// new generation's keys instead of dropped. Any other snapshot (one
+  /// of another Database, or an unknown delta) drops every cached plan.
   /// The slot of each repaired plan is re-pointed at the upgrade, which
   /// moves every QueryId and session on it at once. A parked session
   /// survives when its plan's enumeration order is an anchor across the
@@ -175,7 +167,8 @@ class QueryEngine {
   /// on the calling (control) thread plus helpers, num_threads() at once
   /// in total, plus one pass over the live slots (one per plan
   /// registered in, or carried into, the previous generation) — never
-  /// over the sessions.
+  /// over the sessions — plus one O(|E|) single-label scan when a
+  /// kSimple plan is among the repaired ones.
   void InstallSnapshot(Snapshot snap);
 
   /// Resolves the prepared structure for (query, source, target)
@@ -183,11 +176,9 @@ class QueryEngine {
   /// returns the shared structure with no annotate/trim work; a miss
   /// builds once on the calling thread (concurrent misses on the same
   /// key wait for the one build). Requires a snapshot to be installed.
-  /// \p opts opts a cold build into the sharded preprocessing path
-  /// (AnnotateOptions::num_shards > 1); the index is identical either
-  /// way, so cached entries are shared across opts values.
-  QueryId Prepare(const Nfa& query, uint32_t source, uint32_t target,
-                  const AnnotateOptions& opts = {});
+  /// A build runs annotate and trim on the calling thread; concurrency
+  /// comes from concurrent Prepare calls, not from inside one build.
+  QueryId Prepare(const Nfa& query, uint32_t source, uint32_t target);
 
   /// Prepares (query, s, target) for every s in \p sources. Cached
   /// sources hit; all missing sources are built by ONE block-replicated
@@ -197,8 +188,7 @@ class QueryEngine {
   /// order (duplicates allowed; they share the cache entry).
   std::vector<QueryId> PrepareBatch(const Nfa& query,
                                     const std::vector<uint32_t>& sources,
-                                    uint32_t target,
-                                    const AnnotateOptions& opts = {});
+                                    uint32_t target);
 
   /// Source-level Prepare: parses \p pattern, canonicalizes, picks the
   /// front-end per the E9 size heuristic (recorded in Stats()), and
@@ -208,17 +198,20 @@ class QueryEngine {
   /// reported in the result, not thrown.
   PrepareRegexResult PrepareRegex(std::string_view pattern,
                                   LabelDictionary* dict, uint32_t source,
-                                  uint32_t target,
-                                  const AnnotateOptions& opts = {});
+                                  uint32_t target);
 
   /// Opens a parked cursor over a prepared query. Cheap; many sessions
-  /// may share one prepared query.
+  /// may share one prepared query. An unknown \p query (never returned
+  /// by this engine) still opens a session, one whose pumps all return
+  /// kRetired.
   SessionId OpenSession(QueryId query);
 
   /// Schedules up to \p max_answers further answers for \p session on
   /// the worker pool. At most one pump per session may be in flight
   /// (kBusy otherwise). The future's PumpResult holds the batch; the
-  /// session re-parks on its last answer when the batch fills.
+  /// session re-parks on its last answer when the batch fills. An
+  /// unknown \p session pumps kRetired. Rejecting an unknown id is not
+  /// a retirement: EngineStats::sessions_retired does not count it.
   std::future<PumpResult> PumpAsync(SessionId session, uint32_t max_answers);
 
   /// Blocking convenience wrapper around PumpAsync.
@@ -295,7 +288,6 @@ class QueryEngine {
                       int64_t* first_answer_ns);
 
   const uint32_t worker_cache_entries_;
-  const bool incremental_install_;
 
   mutable std::mutex mu_;
   std::condition_variable cv_;

@@ -75,11 +75,10 @@ struct PreparedQuery {
   /// per-tier stats and for tooling; the kernels themselves dispatch on
   /// words-per-set independently, so the label is observability, not
   /// control flow.
-  PreparedQuery(Snapshot s, const Nfa& query, uint32_t src, uint32_t tgt,
-                const AnnotateOptions& opts)
+  PreparedQuery(Snapshot s, const Nfa& query, uint32_t src, uint32_t tgt)
       : snap(std::move(s)),
-        ann(Annotate(snap, query, src, tgt, opts)),
-        index(snap, ann, opts),
+        ann(Annotate(snap, query, src, tgt)),
+        index(snap, ann),
         source(src),
         target(tgt),
         tier(ClassifyQuery(snap, query).tier) {}
@@ -87,13 +86,13 @@ struct PreparedQuery {
   /// Builds on a ready-made annotation — the multi-source prefix-sharing
   /// path hands each source its MultiSourceAnnotation::Slice here, so
   /// one product BFS serves many prepared views. \p tier is classified
-  /// once per batch by the caller (it depends only on (snap, query),
-  /// not the source).
-  PreparedQuery(Snapshot s, Annotation a, const AnnotateOptions& opts,
+  /// once per batch build by the caller (it depends only on (snap,
+  /// query), not the source).
+  PreparedQuery(Snapshot s, Annotation a,
                 ExecTier query_tier = ExecTier::kGeneral)
       : snap(std::move(s)),
         ann(std::move(a)),
-        index(snap, ann, opts),
+        index(snap, ann),
         source(ann.source),
         target(ann.target),
         tier(query_tier) {}

@@ -241,6 +241,33 @@ TEST(QueryEngineTest, RetiredSessionsAreRejectedGracefully) {
   EXPECT_EQ(Edges(all.walks), expected);
 }
 
+// Ids come from outside the program, so an unknown one must fail
+// gracefully in every build type: an unknown QueryId opens a session
+// that only ever pumps kRetired, an unknown SessionId pumps kRetired,
+// and neither counts as a retirement.
+TEST(QueryEngineTest, UnknownIdsPumpRetired) {
+  Instance inst = BubbleChain(3, 2);
+  QueryEngine engine(2);
+  engine.InstallSnapshot(inst.db.Freeze());
+  QueryId q = engine.Prepare(StaircaseNfa(2, 2), inst.source, inst.target);
+
+  SessionId s_bad = engine.OpenSession(q + 1000);
+  EXPECT_EQ(engine.Pump(s_bad, 4).status, PumpStatus::kRetired);
+  PumpResult drained = engine.Drain(s_bad);
+  EXPECT_EQ(drained.status, PumpStatus::kRetired);
+  EXPECT_TRUE(drained.walks.empty());
+
+  PumpResult unknown = engine.Pump(s_bad + 1000, 4);
+  EXPECT_EQ(unknown.status, PumpStatus::kRetired);
+  EXPECT_TRUE(unknown.walks.empty());
+  EXPECT_EQ(engine.Stats().sessions_retired, 0u);
+
+  // The engine keeps serving the ids it did hand out.
+  PumpResult good = engine.Drain(engine.OpenSession(q));
+  EXPECT_EQ(good.status, PumpStatus::kExhausted);
+  EXPECT_EQ(good.walks.size(), 8u);
+}
+
 // Two clients draining ONE session race for its pump lock; the loser
 // of each round sees kBusy internally. Drain must absorb those (retry
 // until the session parks or exhausts) rather than returning a partial

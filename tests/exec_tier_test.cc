@@ -13,7 +13,8 @@
 //    Queries over 64 states exercise the genuinely-multi-word path.
 //  - Simple-vs-trimmed oracle: SimpleEnumerator's answer sequence is
 //    bit-identical to the general pipeline's on simple instances.
-//  - Engine per-tier prepare counters.
+//  - Engine per-tier prepare counters, and the kSimple demotion rule of
+//    delta repair.
 
 #include <gtest/gtest.h>
 
@@ -409,6 +410,42 @@ TEST(ExecTierTest, EnginePerTierPrepareCounters) {
   engine.PrepareBatch(AnyKDfa(6, 1), sources, inst.target);
   stats = engine.Stats();
   EXPECT_EQ(stats.tier_simple, 5u);
+}
+
+// The kSimple demotion rule of delta repair: an insert that keeps the
+// data single-labelled leaves an upgraded plan kSimple; one that adds a
+// second label demotes it to the tier a fresh classification picks.
+// Both re-Prepares are hits on the upgraded plan, so the counters read
+// the tier the repair assigned.
+TEST(ExecTierTest, DeltaRepairDemotesSimplePlanOnSecondLabel) {
+  Instance inst = Grid(4, 4);
+  Nfa query = AnyKDfa(6, 1);
+  QueryEngine engine(2);
+  engine.InstallSnapshot(inst.db.Freeze());
+  engine.Prepare(query, inst.source, inst.target);
+  ASSERT_EQ(engine.Stats().tier_simple, 1u);
+
+  // A parallel copy of an existing edge: still one label.
+  inst.db.AddEdge(inst.db.src(0), inst.db.edge(0).label, inst.db.dst(0));
+  engine.InstallSnapshot(inst.db.Freeze());
+  ASSERT_EQ(engine.Stats().plans_upgraded, 1u);
+  engine.Prepare(query, inst.source, inst.target);
+  EngineStats stats = engine.Stats();
+  EXPECT_EQ(stats.plan_cache.misses, 1u);
+  EXPECT_EQ(stats.tier_simple, 2u);
+  EXPECT_EQ(stats.tier_single_word, 0u);
+
+  // An edge with a second label: the data is no longer single-labelled.
+  inst.db.AddEdge(inst.source, "l1", inst.target);
+  Snapshot snap3 = inst.db.Freeze();
+  engine.InstallSnapshot(snap3);
+  ASSERT_EQ(engine.Stats().plans_upgraded, 2u);
+  engine.Prepare(query, inst.source, inst.target);
+  stats = engine.Stats();
+  EXPECT_EQ(stats.plan_cache.misses, 1u);
+  EXPECT_EQ(stats.tier_simple, 2u);
+  EXPECT_EQ(stats.tier_single_word, 1u);
+  EXPECT_EQ(ClassifyQuery(snap3, query).tier, ExecTier::kSingleWord);
 }
 
 }  // namespace

@@ -136,25 +136,24 @@ TEST(PlanCacheTest, EquivalentRegexesShareOneEntry) {
   }
 }
 
-// The drop-everything install path, kept reachable by the
-// incremental_install kill-switch: with delta repair disabled, a new
-// generation invalidates every cached plan and retires every started
-// session — the pre-incremental contract, verbatim.
+// The drop-everything install path: a snapshot of ANOTHER database (the
+// same instance plus one extra edge, built as a second Database) shares
+// no delta with the installed one, so nothing can be repaired — the
+// install invalidates every cached plan and retires every started
+// session.
 TEST(PlanCacheTest, InstallSnapshotInvalidatesAndRetires) {
   Instance inst = BubbleChain(5, 2);
+  Instance other = BubbleChain(5, 2);  // outlives the engine, like inst
+  other.db.AddEdge(other.source, 0u, other.target);
   Nfa query = StaircaseNfa(2, 2);
-  EngineOptions opts;
-  opts.num_threads = 2;
-  opts.incremental_install = false;
-  QueryEngine engine(opts);
+  QueryEngine engine(2);
   engine.InstallSnapshot(inst.db.Freeze());
   QueryId q_old = engine.Prepare(query, inst.source, inst.target);
   SessionId s_old = engine.OpenSession(q_old);
   ASSERT_EQ(engine.Pump(s_old, 4).status, PumpStatus::kOk);
   ASSERT_EQ(engine.Stats().plan_cache.entries, 1u);
 
-  inst.db.AddEdge(inst.source, 0u, inst.target);
-  Snapshot snap2 = inst.db.Freeze();
+  Snapshot snap2 = other.db.Freeze();
   engine.InstallSnapshot(snap2);
 
   EngineStats after = engine.Stats();
@@ -222,10 +221,9 @@ TEST(PlanCacheTest, InvalidateDuringBatchWaitReclaimsAndRebuilds) {
   Instance inst = BubbleChain(3, 2);
   Nfa query = StaircaseNfa(1, 2);
   Snapshot snap = inst.db.Freeze();
-  AnnotateOptions aopts;
   auto make_value = [&] {
     return std::make_shared<const PreparedQuery>(snap, query, inst.source,
-                                                 inst.target, aopts);
+                                                 inst.target);
   };
 
   PlanCache cache(size_t{64} << 20);
