@@ -1,18 +1,14 @@
-// E10/E14 (introduction, [11, 17] setting): the execution-tier layer.
+// E14: the kernel tiers. Annotate, trim and enumeration each have two
+// instantiations of the same loop bodies (util/word_kernel.h), picked
+// by words-per-set: the collapsed one-uint64_t kernels for |Q| <= 64,
+// and the generic multi-word loops. Every arm here runs both on the
+// same one-word query, the multi-word one forced by
+// AnnotateOptions::force_multi_word and the enumerator's ctor flag, so
+// the kernel win shows in isolation with identical output bits:
 //
-// Simple vs general: single-labeled data + deterministic query is the
-// paper's simple setting — SimpleEnumerator achieves O(lambda) delay,
-// the general algorithm pays the certificate machinery for
-// O(lambda x |A|). Grids with the any-word DFA expose the gap (CI
-// gates simple mean delay >= 3x lower, tools/check_bench_regression.py
-// per-benchmark thresholds); detection of the setting (ClassifyQuery,
-// "linear time to check" in the paper) is also timed.
-//
-// SingleWord vs MultiWord: the same annotate + trim work with the
-// collapsed one-uint64_t kernels vs the generic multi-word loops forced
-// onto the same one-word query (AnnotateOptions::force_multi_word) —
-// the kernel win of the single-word tier in isolation, identical
-// output bits on both arms.
+//  - GeneralAlgorithm vs GeneralTierKernels: per-answer delay of the
+//    whole pipeline, single-word vs multi-word kernels.
+//  - AnnotateTrimSingleWord vs AnnotateTrimMultiWord: preprocessing.
 
 #include <benchmark/benchmark.h>
 
@@ -22,9 +18,8 @@
 
 #include "bench_util.h"
 #include "core/annotate.h"
-#include "core/query_traits.h"
+#include "core/resumable_enumerator.h"
 #include "core/resumable_index.h"
-#include "core/simple_enumerator.h"
 #include "core/trimmed_index.h"
 #include "workload/generators.h"
 #include "workload/queries.h"
@@ -32,18 +27,17 @@
 namespace dsw {
 namespace {
 
-// lambda on an n x n grid is 2(n-1); the DFA has 2n - 1 states, so the
-// general arm runs the single-word tier (|Q| <= 64 up to n = 32) — the
-// honest comparison, not a strawman.
+// lambda on an n x n grid is 2(n-1); the DFA has 2n - 1 states, so
+// the default arms run the single-word kernels (|Q| <= 64 up to
+// n = 32).
 Nfa GridDfa(int64_t n) {
   return AnyKDfa(2 * (static_cast<uint32_t>(n) - 1), 1);
 }
 
 // Mean delay over one whole drain, a single clock pair, best of three
 // drains. The per-Next stopwatch in MeasureDelays puts a ~30-40ns
-// clock-read floor under every sample — larger than the simple tier's
-// true per-answer cost — which compresses the simple-vs-general ratio;
-// this counter is what the CI delay gate compares. Best-of-3 is the
+// clock-read floor under every sample, which compresses the ratio of
+// two fast arms; this counter does not pay it. Best-of-3 is the
 // standard noise-robust timing estimator (a scheduler hiccup inflates
 // a drain, never deflates it); max_delay still comes from the per-Next
 // profile (a max cannot be batched). \p make constructs a fresh
@@ -69,27 +63,6 @@ double BatchedMeanDelayNs(MakeEnumerator make) {
   return std::isfinite(best) ? best : 0.0;
 }
 
-void BM_FastPath_Simple(benchmark::State& state) {
-  Instance inst = Grid(static_cast<uint32_t>(state.range(0)),
-                       static_cast<uint32_t>(state.range(0)));
-  Snapshot snap = inst.db.Freeze();
-  Nfa dfa = GridDfa(state.range(0));
-  if (!SimpleEnumerator::Applicable(snap, dfa)) {
-    state.SkipWithError("fast path unexpectedly not applicable");
-    return;
-  }
-  bench::DelayProfile profile;
-  for (auto _ : state) {
-    SimpleEnumerator en(snap, dfa, inst.source, inst.target);
-    profile = bench::MeasureDelays(&en);
-  }
-  bench::ReportDelays(state, profile);
-  state.counters["batch_mean_delay_ns"] = BatchedMeanDelayNs(
-      [&] { return SimpleEnumerator(snap, dfa, inst.source, inst.target); });
-}
-BENCHMARK(BM_FastPath_Simple)->DenseRange(6, 14, 2)
-    ->Unit(benchmark::kMillisecond);
-
 void BM_FastPath_GeneralAlgorithm(benchmark::State& state) {
   Instance inst = Grid(static_cast<uint32_t>(state.range(0)),
                        static_cast<uint32_t>(state.range(0)));
@@ -111,13 +84,10 @@ void BM_FastPath_GeneralAlgorithm(benchmark::State& state) {
 BENCHMARK(BM_FastPath_GeneralAlgorithm)->DenseRange(6, 14, 2)
     ->Unit(benchmark::kMillisecond);
 
-// The general *tier's* kernel configuration on the same instance:
+// The general tier's kernel configuration on the same instance:
 // multi-word loops throughout annotate, trim and enumeration — what any
-// query with > 64 states or an un-eliminated epsilon runs. The CI >=3x
-// simple-vs-general delay gate compares against this arm; the
-// GeneralAlgorithm arm above (single-word kernels, what the engine
-// would actually pick for this query absent the simple tier) is gated
-// at a softer >=2x.
+// query with > 64 states runs. The GeneralAlgorithm arm above is what
+// the engine picks for this query (single-word kernels).
 void BM_FastPath_GeneralTierKernels(benchmark::State& state) {
   Instance inst = Grid(static_cast<uint32_t>(state.range(0)),
                        static_cast<uint32_t>(state.range(0)));
@@ -143,18 +113,6 @@ void BM_FastPath_GeneralTierKernels(benchmark::State& state) {
 }
 BENCHMARK(BM_FastPath_GeneralTierKernels)->DenseRange(6, 14, 2)
     ->Unit(benchmark::kMillisecond);
-
-// Setting detection (the paper: "it takes linear time to check").
-void BM_FastPath_Detection(benchmark::State& state) {
-  Instance inst = Grid(static_cast<uint32_t>(state.range(0)),
-                       static_cast<uint32_t>(state.range(0)));
-  Snapshot snap = inst.db.Freeze();
-  Nfa dfa = GridDfa(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ClassifyQuery(snap, dfa).tier);
-  }
-}
-BENCHMARK(BM_FastPath_Detection)->DenseRange(6, 14, 4);
 
 // The single-word kernel win on preprocessing, in isolation: same
 // one-word query, same snapshot, same output bits — only the kernel

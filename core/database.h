@@ -59,6 +59,9 @@ namespace dsw {
 using VertexId = uint32_t;
 using EdgeId = uint32_t;
 
+/// What AddEdge returns for an edge it rejected.
+inline constexpr EdgeId kNoEdge = UINT32_MAX;
+
 class LabelDictionary {
  public:
   static constexpr uint32_t kInvalid = UINT32_MAX;
@@ -238,10 +241,11 @@ class Database {
     return first;
   }
 
-  /// Adds an edge with an already-interned label id; returns the edge id.
+  /// Adds an edge with an already-interned label id; returns the edge
+  /// id, or kNoEdge (changing nothing) when \p src or \p dst is not a
+  /// vertex id. Checked in every build type: the ids are external input.
   uint32_t AddEdge(uint32_t src, uint32_t label, uint32_t dst) {
-    assert(src < num_vertices() && "AddEdge: src is not a vertex id");
-    assert(dst < num_vertices() && "AddEdge: dst is not a vertex id");
+    if (!HasVertices(src, dst)) return kNoEdge;
     uint32_t id = static_cast<uint32_t>(edges_.size());
     edges_.push_back(Edge{src, dst, label});
     out_.Append(src, id);
@@ -250,8 +254,10 @@ class Database {
     return id;
   }
 
-  /// Adds an edge by label name, interning it on first use.
+  /// Adds an edge by label name, interning it on first use. A rejected
+  /// edge (kNoEdge) interns nothing.
   uint32_t AddEdge(uint32_t src, std::string_view label, uint32_t dst) {
+    if (!HasVertices(src, dst)) return kNoEdge;
     return AddEdge(src, labels_.Intern(label), dst);
   }
 
@@ -303,6 +309,10 @@ class Database {
 
  private:
   friend class Snapshot;  // DeltaFrom reads the freeze-mark log
+
+  bool HasVertices(uint32_t src, uint32_t dst) const {
+    return src < num_vertices() && dst < num_vertices();
+  }
 
   // Builds the adjacency of the current contents into \p ix from
   // \p prev, the index of an earlier freeze of this database (empty on

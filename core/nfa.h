@@ -228,8 +228,8 @@ class CompiledDelta {
             num_states_};
   }
 
-  // Single-word row access, the execution-tier layer's scalar API
-  // (core/query_traits.h): for |Q| <= 64 every row is exactly one
+  // Single-word row access, the single-word kernel's scalar API
+  // (util/word_kernel.h): for |Q| <= 64 every row is exactly one
   // uint64_t, and these return it by value — no pointer chase at the
   // call site, and the natural operands for the SingleWordKernel
   // instantiations. Precondition: words_per_set() == 1 (asserted).

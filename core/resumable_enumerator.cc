@@ -103,17 +103,12 @@ void ResumableEnumerator::FindNext() {
   }
 }
 
-bool ResumableEnumerator::RejectSeek() {
-  assert(false && "SeekAfter: the given walk is not an answer");
-  valid_ = false;
-  return false;
-}
-
 bool ResumableEnumerator::SeekAfter(const Walk& prev) {
+  // Every rejection below returns with valid_ still false: prev is
+  // client-echoed input, so a non-answer is a status, not a bug.
   valid_ = false;
-  if (!has_answers_) return RejectSeek();
-  if (prev.edges.size() != static_cast<size_t>(lambda_))
-    return RejectSeek();
+  if (!has_answers_) return false;
+  if (prev.edges.size() != static_cast<size_t>(lambda_)) return false;
   if (lambda_ == 0) {
     // The empty walk is the unique answer and has no successor.
     depth_ = 0;
@@ -138,13 +133,13 @@ bool ResumableEnumerator::SeekAfter(const Walk& prev) {
     // kNoSlot (e is no out-edge of the slot's vertex) is > num_cand.
     const uint32_t c = index_->SeekGe(i, pos, e);
     if (c >= f.blist.num_cand || f.cand[c].edge != e)
-      return RejectSeek();  // e survived no answer at this level
+      return false;  // e survived no answer at this level
     const TrimmedIndex::CandidateEdge& ce = f.cand[c];
     if (!enumerator_detail::AdvanceStates(
             *delta_, wps_, f.states, ce.label,
             index_->trimmed().UsefulStates(i + 1, ce.next_pos),
             &stack_[i + 1].states, &stats_.row_ors, single_word_))
-      return RejectSeek();  // no accepting run threads through prev
+      return false;  // no accepting run threads through prev
     f.cur = c + 1;  // resume strictly after prev's choice
     pos = ce.next_pos;
   }

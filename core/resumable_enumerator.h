@@ -37,9 +37,8 @@
 //
 // Contract for walks that are NOT answers (wrong length, an edge that
 // is no candidate at its level, a prefix whose reachable-run set dies):
-// debug builds assert (see the death tests in resumable_test); release
-// builds reject gracefully — SeekAfter returns false and the enumerator
-// invalidates. SeekAfter returns true iff w was accepted as an answer;
+// every build type rejects them — SeekAfter returns false and the
+// enumerator invalidates (ResumableAdversarialTest). SeekAfter returns true iff w was accepted as an answer;
 // Valid() afterwards says whether a successor exists (false when w was
 // the last answer). walk() is only meaningful while Valid().
 
@@ -149,9 +148,9 @@ class ResumableEnumerator {
 
   /// Memoryless reposition: accepts the answer \p prev and advances to
   /// the answer after it (Valid() false when prev was last). Returns
-  /// false — invalidating the enumerator — when prev is not an answer;
-  /// debug builds assert instead. Works regardless of the enumerator's
-  /// current position, including after it invalidated.
+  /// false — invalidating the enumerator — when prev is not an answer.
+  /// Works regardless of the enumerator's current position, including
+  /// after it invalidated.
   bool SeekAfter(const Walk& prev);
 
   const OpStats& stats() const { return stats_; }
@@ -170,7 +169,6 @@ class ResumableEnumerator {
   };
 
   void Enter(Frame* f, uint32_t level, uint32_t pos) const;
-  bool RejectSeek();
   void FindNext();
 
   const ResumableIndex* index_;

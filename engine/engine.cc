@@ -114,25 +114,16 @@ struct RepairedPlan {
   bool order_preserved = false;
 };
 
-// \p single_labeled is DataSingleLabeled(snap), computed once per
-// install by the caller; only kSimple plans read it.
 RepairedPlan RepairPlan(const Snapshot& snap, const EdgeDelta& delta,
-                        const DeltaContext& ctx, bool single_labeled,
-                        const PreparedQuery& old) {
+                        const DeltaContext& ctx, const PreparedQuery& old) {
   RepairedPlan out;
   Annotation ann = old.ann;
   AnnotationRepair rep = DeltaAnnotate(snap, delta, &ann);
   if (!rep.ok) return out;
   TrimmedIndex trimmed =
       DeltaTrim(snap, ann, old.index.trimmed(), rep, delta, ctx);
-  // The tier carries over, except that inserted edges may have given a
-  // kSimple plan's data a second label — recheck and demote (the query
-  // half of the classification cannot change, so no promotion exists).
-  ExecTier tier = old.tier;
-  if (tier == ExecTier::kSimple && !single_labeled)
-    tier = ann.num_states <= 64 ? ExecTier::kSingleWord : ExecTier::kGeneral;
-  out.value = std::make_shared<const PreparedQuery>(
-      snap, std::move(ann), std::move(trimmed), tier);
+  out.value = std::make_shared<const PreparedQuery>(snap, std::move(ann),
+                                                    std::move(trimmed));
   out.order_preserved = !rep.lambda_changed;
   return out;
 }
@@ -181,18 +172,10 @@ void QueryEngine::InstallSnapshot(Snapshot snap) {
   std::vector<RepairedPlan> repairs(old_entries.size());
   if (!old_entries.empty()) {
     DeltaContext ctx(snap);
-    // The data half of the kSimple tier, scanned once for all plans.
-    const bool single_labeled =
-        std::any_of(old_entries.begin(), old_entries.end(),
-                    [](const auto& e) {
-                      return e.second->tier == ExecTier::kSimple;
-                    }) &&
-        DataSingleLabeled(snap);
     std::atomic<size_t> next{0};
     auto repair_some = [&] {
       for (size_t i; (i = next.fetch_add(1)) < old_entries.size();)
-        repairs[i] = RepairPlan(snap, delta, ctx, single_labeled,
-                                *old_entries[i].second);
+        repairs[i] = RepairPlan(snap, delta, ctx, *old_entries[i].second);
     };
     // std::async futures join on destruction, exception paths included.
     std::vector<std::future<void>> helpers;
@@ -289,23 +272,19 @@ QueryId QueryEngine::Prepare(const Nfa& query, uint32_t source,
         return std::make_shared<const PreparedQuery>(snap, query, source,
                                                      target);
       });
-  BumpTier(prepared->tier);
+  BumpTier(*prepared);
   std::lock_guard<std::mutex> lock(mu_);
   return RegisterLocked(std::move(prepared));
 }
 
-void QueryEngine::BumpTier(ExecTier tier) {
-  switch (tier) {
-    case ExecTier::kSimple:
-      tier_simple_.fetch_add(1, std::memory_order_relaxed);
-      break;
-    case ExecTier::kSingleWord:
-      tier_single_word_.fetch_add(1, std::memory_order_relaxed);
-      break;
-    case ExecTier::kGeneral:
-      tier_general_.fetch_add(1, std::memory_order_relaxed);
-      break;
-  }
+void QueryEngine::BumpTier(const PreparedQuery& plan) {
+  // The same test Annotate, TrimVertex and ResumableEnumerator use to
+  // pick the single-word kernel, so the counter names the kernel that
+  // runs.
+  std::atomic<uint64_t>& tier = plan.ann.words_per_set() == 1
+                                    ? tier_single_word_
+                                    : tier_general_;
+  tier.fetch_add(1, std::memory_order_relaxed);
 }
 
 std::vector<QueryId> QueryEngine::PrepareBatch(
@@ -329,9 +308,6 @@ std::vector<QueryId> QueryEngine::PrepareBatch(
   // entries filled here and by single Prepare() are interchangeable.
   std::vector<PlanCache::Value> values = cache_.GetOrBuildBatch(
       keys, [&snap, &query, &sources, target](const std::vector<size_t>& idx) {
-        // Tier depends only on (snapshot, query), not the source:
-        // classify once per build, and not at all when every source hits.
-        const ExecTier tier = ClassifyQuery(snap, query).tier;
         std::vector<uint32_t> batch_sources;
         batch_sources.reserve(idx.size());
         for (size_t i : idx) batch_sources.push_back(sources[i]);
@@ -341,12 +317,12 @@ std::vector<QueryId> QueryEngine::PrepareBatch(
         built.reserve(idx.size());
         for (size_t j = 0; j < idx.size(); ++j)
           built.push_back(
-              std::make_shared<const PreparedQuery>(snap, ms.Slice(j), tier));
+              std::make_shared<const PreparedQuery>(snap, ms.Slice(j)));
         return built;
       });
   std::vector<QueryId> ids;
   ids.reserve(values.size());
-  for (const PlanCache::Value& v : values) BumpTier(v->tier);
+  for (const PlanCache::Value& v : values) BumpTier(*v);
   std::lock_guard<std::mutex> lock(mu_);
   for (PlanCache::Value& v : values) ids.push_back(RegisterLocked(std::move(v)));
   return ids;
@@ -459,7 +435,6 @@ EngineStats QueryEngine::Stats() const {
       frontend_thompson_.load(std::memory_order_relaxed);
   stats.frontend_glushkov =
       frontend_glushkov_.load(std::memory_order_relaxed);
-  stats.tier_simple = tier_simple_.load(std::memory_order_relaxed);
   stats.tier_single_word =
       tier_single_word_.load(std::memory_order_relaxed);
   stats.tier_general = tier_general_.load(std::memory_order_relaxed);

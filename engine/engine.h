@@ -114,10 +114,12 @@ struct EngineStats {
   uint64_t worker_cache_evictions = 0;  // enumerators dropped by the LRU cap
   uint64_t frontend_thompson = 0;       // PrepareRegex picks, per front-end
   uint64_t frontend_glushkov = 0;
-  // Execution tier of each resolved Prepare/PrepareBatch plan
-  // (core/query_traits.h) — cache hits count too, so the three sum to
-  // the number of plans handed out, not the number built.
-  uint64_t tier_simple = 0;
+  // Kernel of each resolved Prepare/PrepareBatch plan: single-word when
+  // its state sets fit one uint64_t (ann.words_per_set() == 1), general
+  // otherwise. Cache hits count too, so the two sum to the number of
+  // plans handed out, not the number built.
+  uint64_t tier_simple = 0;  // always 0: the simple tier is retired;
+                             // kept so readers of the field compile
   uint64_t tier_single_word = 0;
   uint64_t tier_general = 0;
 };
@@ -167,8 +169,7 @@ class QueryEngine {
   /// on the calling (control) thread plus helpers, num_threads() at once
   /// in total, plus one pass over the live slots (one per plan
   /// registered in, or carried into, the previous generation) — never
-  /// over the sessions — plus one O(|E|) single-label scan when a
-  /// kSimple plan is among the repaired ones.
+  /// over the sessions.
   void InstallSnapshot(Snapshot snap);
 
   /// Resolves the prepared structure for (query, source, target)
@@ -322,11 +323,10 @@ class QueryEngine {
   std::atomic<uint64_t> worker_cache_evictions_{0};
   std::atomic<uint64_t> frontend_thompson_{0};
   std::atomic<uint64_t> frontend_glushkov_{0};
-  std::atomic<uint64_t> tier_simple_{0};
   std::atomic<uint64_t> tier_single_word_{0};
   std::atomic<uint64_t> tier_general_{0};
 
-  void BumpTier(ExecTier tier);
+  void BumpTier(const PreparedQuery& plan);
 
   std::vector<std::thread> workers_;
 };

@@ -59,7 +59,6 @@
 #include "core/annotate.h"
 #include "core/database.h"
 #include "core/nfa.h"
-#include "core/query_traits.h"
 #include "core/resumable_index.h"
 
 namespace dsw {
@@ -67,57 +66,43 @@ namespace dsw {
 /// Everything a query needs at run time, built once and then strictly
 /// read-only — the snapshot copy keeps the frozen LabelIndex alive and
 /// carries the generation this query is pinned to. Shared by the plan
-/// cache, the engine's query table, and every session.
+/// cache, the engine's query table, and every session. Annotate, trim
+/// and enumeration pick their kernel from ann.words_per_set().
 struct PreparedQuery {
-  /// Builds from scratch: one single-source annotate + trim. The
-  /// execution tier (core/query_traits.h) is classified here, at
-  /// prepare time — the cached plan carries it for the engine's
-  /// per-tier stats and for tooling; the kernels themselves dispatch on
-  /// words-per-set independently, so the label is observability, not
-  /// control flow.
+  /// Builds from scratch: one single-source annotate + trim.
   PreparedQuery(Snapshot s, const Nfa& query, uint32_t src, uint32_t tgt)
       : snap(std::move(s)),
         ann(Annotate(snap, query, src, tgt)),
         index(snap, ann),
         source(src),
-        target(tgt),
-        tier(ClassifyQuery(snap, query).tier) {}
+        target(tgt) {}
 
   /// Builds on a ready-made annotation — the multi-source prefix-sharing
   /// path hands each source its MultiSourceAnnotation::Slice here, so
-  /// one product BFS serves many prepared views. \p tier is classified
-  /// once per batch build by the caller (it depends only on (snap,
-  /// query), not the source).
-  PreparedQuery(Snapshot s, Annotation a,
-                ExecTier query_tier = ExecTier::kGeneral)
+  /// one product BFS serves many prepared views.
+  PreparedQuery(Snapshot s, Annotation a)
       : snap(std::move(s)),
         ann(std::move(a)),
         index(snap, ann),
         source(ann.source),
-        target(ann.target),
-        tier(query_tier) {}
+        target(ann.target) {}
 
   /// Builds on repaired structures — the incremental InstallSnapshot
   /// path: \p a and \p trimmed were patched by core/delta_annotate
   /// against an insert-only edge delta, so only the resumable rank
-  /// arrays are rebuilt here; no product BFS, no backward sweep. \p tier
-  /// is the upgraded plan's tier, re-derived by the caller (the delta
-  /// may have added a second label, demoting a kSimple plan).
-  PreparedQuery(Snapshot s, Annotation a, TrimmedIndex trimmed,
-                ExecTier query_tier = ExecTier::kGeneral)
+  /// arrays are rebuilt here; no product BFS, no backward sweep.
+  PreparedQuery(Snapshot s, Annotation a, TrimmedIndex trimmed)
       : snap(std::move(s)),
         ann(std::move(a)),
         index(snap, ann, std::move(trimmed)),
         source(ann.source),
-        target(ann.target),
-        tier(query_tier) {}
+        target(ann.target) {}
 
   Snapshot snap;
   Annotation ann;
   ResumableIndex index;
   uint32_t source;
   uint32_t target;
-  ExecTier tier = ExecTier::kGeneral;
 
   /// Heap footprint estimate — the plan cache's byte-budget charge.
   size_t ApproxBytes() const {

@@ -1,20 +1,13 @@
-// The execution-tier layer (core/query_traits.h, util/word_kernel.h):
+// The two kernel tiers (util/word_kernel.h), which dispatch on
+// words-per-set:
 //
-//  - ClassifyQuery unit tests: the three tiers, the traits flags, and
-//    the deterministic-automaton edge cases (duplicate parallel
-//    transitions, multiple initials, epsilon moves).
-//  - SimpleEnumerator::Applicable negatives: multi-label data,
-//    nondeterministic query, epsilon-transitions.
 //  - Cross-tier bit-identity: the collapsed single-word kernels vs the
 //    generic multi-word loops forced onto the same one-word query
 //    (AnnotateOptions::force_multi_word, the enumerators' ctor flag)
 //    must agree level for level, candidate for candidate, B-list row
 //    for B-list row, answer for answer — and probe for probe (OpStats).
 //    Queries over 64 states exercise the genuinely-multi-word path.
-//  - Simple-vs-trimmed oracle: SimpleEnumerator's answer sequence is
-//    bit-identical to the general pipeline's on simple instances.
-//  - Engine per-tier prepare counters, and the kSimple demotion rule of
-//    delta repair.
+//  - Engine per-tier prepare counters, read from the plan's word count.
 
 #include <gtest/gtest.h>
 
@@ -25,10 +18,8 @@
 
 #include "automaton/thompson.h"
 #include "core/annotate.h"
-#include "core/query_traits.h"
 #include "core/resumable_enumerator.h"
 #include "core/resumable_index.h"
-#include "core/simple_enumerator.h"
 #include "core/trimmed_index.h"
 #include "engine/engine.h"
 #include "regex/regex_parser.h"
@@ -154,120 +145,6 @@ void ExpectTiersBitIdentical(Instance& inst, const Nfa& query) {
   }
 }
 
-// ------------------------------------------------------ classification
-
-TEST(QueryTraitsTest, GridAnyKIsSimple) {
-  Instance inst = Grid(4, 5);
-  Snapshot snap = inst.db.Freeze();
-  QueryTraits traits = ClassifyQuery(snap, AnyKDfa(7, 1));
-  EXPECT_EQ(traits.tier, ExecTier::kSimple);
-  EXPECT_TRUE(traits.data_single_label);
-  EXPECT_TRUE(traits.query_deterministic);
-  EXPECT_TRUE(traits.single_word);
-  EXPECT_TRUE(SimpleEnumerator::Applicable(snap, AnyKDfa(7, 1)));
-}
-
-TEST(QueryTraitsTest, MultiLabelDataIsSingleWordNotSimple) {
-  Instance inst = BubbleChain(5, 2);  // top l0, bottom l1
-  Snapshot snap = inst.db.Freeze();
-  Nfa dfa = AnyKDfa(10, 2);  // still deterministic
-  QueryTraits traits = ClassifyQuery(snap, dfa);
-  EXPECT_EQ(traits.tier, ExecTier::kSingleWord);
-  EXPECT_FALSE(traits.data_single_label);
-  EXPECT_TRUE(traits.query_deterministic);
-  EXPECT_FALSE(SimpleEnumerator::Applicable(snap, dfa));
-}
-
-TEST(QueryTraitsTest, NondeterministicQueryIsNotSimple) {
-  Instance inst = Grid(4, 4);  // single-labeled
-  Snapshot snap = inst.db.Freeze();
-  Nfa staircase = StaircaseNfa(2, 1);  // loop + advance on one label
-  QueryTraits traits = ClassifyQuery(snap, staircase);
-  EXPECT_EQ(traits.tier, ExecTier::kSingleWord);
-  EXPECT_TRUE(traits.data_single_label);
-  EXPECT_FALSE(traits.query_deterministic);
-  EXPECT_FALSE(SimpleEnumerator::Applicable(snap, staircase));
-}
-
-TEST(QueryTraitsTest, EpsilonQueryIsNotSimple) {
-  Instance inst = Grid(4, 4);
-  Snapshot snap = inst.db.Freeze();
-  RegexParseResult ast = ParseRegex(ContainsL0Regex(1));
-  ASSERT_TRUE(ast.ok()) << ast.error();
-  Nfa thompson = ThompsonNfa(*ast.value(), inst.db.mutable_dict());
-  ASSERT_GT(thompson.num_epsilon_transitions(), 0u);
-  QueryTraits traits = ClassifyQuery(snap, thompson);
-  EXPECT_FALSE(traits.query_deterministic);
-  EXPECT_NE(traits.tier, ExecTier::kSimple);
-  EXPECT_FALSE(SimpleEnumerator::Applicable(snap, thompson));
-}
-
-TEST(QueryTraitsTest, Over64StatesIsGeneral) {
-  Instance inst = BubbleChain(4, 2);
-  Snapshot snap = inst.db.Freeze();
-  Nfa big = StaircaseNfa(70, 2);  // 71 states: two words per set
-  QueryTraits traits = ClassifyQuery(snap, big);
-  EXPECT_EQ(traits.tier, ExecTier::kGeneral);
-  EXPECT_FALSE(traits.single_word);
-}
-
-TEST(QueryTraitsTest, SimpleBeatsSingleWord) {
-  // A simple query with |Q| <= 64 reports kSimple, not kSingleWord.
-  Instance inst = Grid(3, 3);
-  Snapshot snap = inst.db.Freeze();
-  QueryTraits traits = ClassifyQuery(snap, AnyKDfa(4, 1));
-  EXPECT_TRUE(traits.single_word);
-  EXPECT_EQ(traits.tier, ExecTier::kSimple);
-}
-
-TEST(QueryTraitsTest, DeterminismEdgeCases) {
-  Instance inst = Grid(2, 2);
-  Snapshot snap = inst.db.Freeze();
-
-  // Duplicate parallel transitions to the SAME successor are tolerated.
-  Nfa dup(2);
-  dup.AddInitial(0);
-  dup.AddFinal(1);
-  dup.AddTransition(0, 0u, 1);
-  dup.AddTransition(0, 0u, 1);
-  EXPECT_TRUE(QueryDeterministic(dup));
-  EXPECT_EQ(ClassifyQuery(snap, dup).tier, ExecTier::kSimple);
-
-  // Two distinct successors on one (state, label) are not.
-  Nfa fork(3);
-  fork.AddInitial(0);
-  fork.AddFinal(2);
-  fork.AddTransition(0, 0u, 1);
-  fork.AddTransition(0, 0u, 2);
-  EXPECT_FALSE(QueryDeterministic(fork));
-
-  // Multiple initial states are not.
-  Nfa two_init(2);
-  two_init.AddInitial(0);
-  two_init.AddInitial(1);
-  two_init.AddFinal(1);
-  two_init.AddTransition(0, 0u, 1);
-  EXPECT_FALSE(QueryDeterministic(two_init));
-
-  // The empty automaton is not (vacuously rejected).
-  EXPECT_FALSE(QueryDeterministic(Nfa(0)));
-}
-
-TEST(QueryTraitsTest, EdgelessSnapshotIsSingleLabeled) {
-  Database db;
-  db.labels().Intern("l0");
-  db.AddVertices(3);
-  Snapshot snap = db.Freeze();
-  EXPECT_TRUE(DataSingleLabeled(snap));
-  EXPECT_EQ(ClassifyQuery(snap, AnyKDfa(2, 1)).tier, ExecTier::kSimple);
-}
-
-TEST(ExecTierTest, TierNames) {
-  EXPECT_STREQ(ExecTierName(ExecTier::kSimple), "simple");
-  EXPECT_STREQ(ExecTierName(ExecTier::kSingleWord), "single_word");
-  EXPECT_STREQ(ExecTierName(ExecTier::kGeneral), "general");
-}
-
 // ---------------------------------------- cross-tier bit-identity
 
 TEST(ExecTierTest, GridBitIdenticalAcrossKernels) {
@@ -328,62 +205,6 @@ TEST(ExecTierTest, UnreachableTargetBitIdenticalAcrossKernels) {
   ExpectTiersBitIdentical(inst, query);
 }
 
-// ------------------------------------------- simple-vs-trimmed oracle
-
-void ExpectSimpleMatchesTrimmed(Instance& inst, const Nfa& dfa) {
-  Snapshot snap = inst.db.Freeze();
-  ASSERT_TRUE(SimpleEnumerator::Applicable(snap, dfa));
-  SimpleEnumerator simple(snap, dfa, inst.source, inst.target);
-
-  Annotation ann = Annotate(snap, dfa, inst.source, inst.target);
-  ResumableIndex index(snap, ann);
-  ResumableEnumerator general(ann, index, inst.source, inst.target);
-
-  EXPECT_EQ(simple.lambda(), ann.lambda);
-  std::vector<Walk> fast = DrainAll(&simple);
-  std::vector<Walk> slow = DrainAll(&general);
-  ExpectSameWalks(fast, slow);
-}
-
-TEST(SimpleEnumeratorTest, GridMatchesGeneralPipeline) {
-  Instance inst = Grid(5, 7);
-  ExpectSimpleMatchesTrimmed(inst, AnyKDfa(10, 1));
-}
-
-TEST(SimpleEnumeratorTest, BubbleChainMatchesGeneralPipeline) {
-  Instance inst = BubbleChain(8, 1);  // 256 answers, lambda = 16
-  ExpectSimpleMatchesTrimmed(inst, AnyKDfa(16, 1));
-}
-
-TEST(SimpleEnumeratorTest, StarOfChainsMatchesGeneralPipeline) {
-  Instance inst = StarOfChains(9, 5, 1);
-  ExpectSimpleMatchesTrimmed(inst, AnyKDfa(5, 1));
-}
-
-TEST(SimpleEnumeratorTest, NoAnswerIsInvalid) {
-  Instance inst = Grid(3, 3);
-  Snapshot snap = inst.db.Freeze();
-  // Walks of length 3 cannot end at the far corner (lambda = 4).
-  Nfa dfa = AnyKDfa(3, 1);
-  ASSERT_TRUE(SimpleEnumerator::Applicable(snap, dfa));
-  SimpleEnumerator en(snap, dfa, inst.source, inst.target);
-  EXPECT_FALSE(en.Valid());
-  EXPECT_EQ(en.lambda(), -1);
-}
-
-TEST(SimpleEnumeratorTest, LambdaZeroYieldsTheEmptyWalk) {
-  Instance inst = Grid(3, 3);
-  Snapshot snap = inst.db.Freeze();
-  Nfa dfa = AnyKDfa(0, 1);  // accepts exactly the empty word
-  ASSERT_TRUE(SimpleEnumerator::Applicable(snap, dfa));
-  SimpleEnumerator en(snap, dfa, inst.source, inst.source);
-  ASSERT_TRUE(en.Valid());
-  EXPECT_EQ(en.lambda(), 0);
-  EXPECT_TRUE(en.walk().edges.empty());
-  en.Next();
-  EXPECT_FALSE(en.Valid());
-}
-
 // --------------------------------------------------- engine counters
 
 TEST(ExecTierTest, EnginePerTierPrepareCounters) {
@@ -391,61 +212,46 @@ TEST(ExecTierTest, EnginePerTierPrepareCounters) {
   QueryEngine engine(2);
   engine.InstallSnapshot(inst.db.Freeze());
 
-  engine.Prepare(AnyKDfa(6, 1), inst.source, inst.target);     // simple
-  engine.Prepare(StaircaseNfa(2, 1), inst.source, inst.target);  // 1-word
-  engine.Prepare(StaircaseNfa(70, 1), inst.source, inst.target);  // general
+  // AnyKDfa(6, 1) has 7 states (one word), StaircaseNfa(70, 1) over 64.
+  engine.Prepare(AnyKDfa(6, 1), inst.source, inst.target);
+  engine.Prepare(StaircaseNfa(70, 1), inst.source, inst.target);
   EngineStats stats = engine.Stats();
-  EXPECT_EQ(stats.tier_simple, 1u);
   EXPECT_EQ(stats.tier_single_word, 1u);
   EXPECT_EQ(stats.tier_general, 1u);
+  EXPECT_EQ(stats.tier_simple, 0u);
 
   // Cache hits count too: the counters tally plans handed out.
   engine.Prepare(AnyKDfa(6, 1), inst.source, inst.target);
   stats = engine.Stats();
-  EXPECT_EQ(stats.tier_simple, 2u);
+  EXPECT_EQ(stats.tier_single_word, 2u);
   EXPECT_EQ(stats.plan_cache.hits, 1u);
 
-  // PrepareBatch classifies once and tags every slice.
+  // PrepareBatch counts every slice, hit or built.
   std::vector<uint32_t> sources = {inst.source, 1u, 2u};
   engine.PrepareBatch(AnyKDfa(6, 1), sources, inst.target);
+  engine.PrepareBatch(StaircaseNfa(70, 1), sources, inst.target);
   stats = engine.Stats();
-  EXPECT_EQ(stats.tier_simple, 5u);
-}
+  EXPECT_EQ(stats.tier_single_word, 5u);
+  EXPECT_EQ(stats.tier_general, 4u);
 
-// The kSimple demotion rule of delta repair: an insert that keeps the
-// data single-labelled leaves an upgraded plan kSimple; one that adds a
-// second label demotes it to the tier a fresh classification picks.
-// Both re-Prepares are hits on the upgraded plan, so the counters read
-// the tier the repair assigned.
-TEST(ExecTierTest, DeltaRepairDemotesSimplePlanOnSecondLabel) {
-  Instance inst = Grid(4, 4);
-  Nfa query = AnyKDfa(6, 1);
-  QueryEngine engine(2);
-  engine.InstallSnapshot(inst.db.Freeze());
-  engine.Prepare(query, inst.source, inst.target);
-  ASSERT_EQ(engine.Stats().tier_simple, 1u);
-
-  // A parallel copy of an existing edge: still one label.
-  inst.db.AddEdge(inst.db.src(0), inst.db.edge(0).label, inst.db.dst(0));
-  engine.InstallSnapshot(inst.db.Freeze());
-  ASSERT_EQ(engine.Stats().plans_upgraded, 1u);
-  engine.Prepare(query, inst.source, inst.target);
-  EngineStats stats = engine.Stats();
-  EXPECT_EQ(stats.plan_cache.misses, 1u);
-  EXPECT_EQ(stats.tier_simple, 2u);
-  EXPECT_EQ(stats.tier_single_word, 0u);
-
-  // An edge with a second label: the data is no longer single-labelled.
+  // A plan upgraded across an install keeps its word count: the
+  // re-Prepare is a hit on the repaired plan and counts the same tier.
+  // StaircaseNfa(70, 1) needs 70 steps, so its plans are unreachable
+  // here and dropped rather than repaired; CompleteNfa(65, 1) is a
+  // reachable general plan.
+  engine.Prepare(CompleteNfa(65, 1), inst.source, inst.target);
+  ASSERT_EQ(engine.Stats().tier_general, 5u);
   inst.db.AddEdge(inst.source, "l1", inst.target);
-  Snapshot snap3 = inst.db.Freeze();
-  engine.InstallSnapshot(snap3);
-  ASSERT_EQ(engine.Stats().plans_upgraded, 2u);
-  engine.Prepare(query, inst.source, inst.target);
+  engine.InstallSnapshot(inst.db.Freeze());
+  ASSERT_GT(engine.Stats().plans_upgraded, 0u);
+  const uint64_t misses = engine.Stats().plan_cache.misses;
+  engine.Prepare(AnyKDfa(6, 1), inst.source, inst.target);
+  engine.Prepare(CompleteNfa(65, 1), inst.source, inst.target);
   stats = engine.Stats();
-  EXPECT_EQ(stats.plan_cache.misses, 1u);
-  EXPECT_EQ(stats.tier_simple, 2u);
-  EXPECT_EQ(stats.tier_single_word, 1u);
-  EXPECT_EQ(ClassifyQuery(snap3, query).tier, ExecTier::kSingleWord);
+  EXPECT_EQ(stats.plan_cache.misses, misses);
+  EXPECT_EQ(stats.tier_single_word, 6u);
+  EXPECT_EQ(stats.tier_general, 6u);
+  EXPECT_EQ(stats.tier_simple, 0u);
 }
 
 }  // namespace

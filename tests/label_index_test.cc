@@ -192,15 +192,28 @@ TEST(CompiledDeltaTest, EpsilonCyclesAndRandomEpsilonNfas) {
   }
 }
 
-#if GTEST_HAS_DEATH_TEST && !defined(NDEBUG)
-TEST(DatabaseDeathTest, AddEdgeAssertsOnBadVertexIds) {
+// Vertex ids are external input: a bad one is rejected in every build
+// type, and the rejected call changes nothing.
+TEST(DatabaseTest, AddEdgeRejectsBadVertexIds) {
   Database db;
   uint32_t v = db.AddVertex();
-  db.labels().Intern("a");
-  EXPECT_DEATH(db.AddEdge(v, 0u, v + 1), "dst is not a vertex id");
-  EXPECT_DEATH(db.AddEdge(v + 7, 0u, v), "src is not a vertex id");
+  uint32_t a = db.labels().Intern("a");
+  const uint64_t generation = db.generation();
+  EXPECT_EQ(db.AddEdge(v, a, v + 1), kNoEdge);
+  EXPECT_EQ(db.AddEdge(v + 7, a, v), kNoEdge);
+  EXPECT_EQ(db.AddEdge(UINT32_MAX, a, UINT32_MAX), kNoEdge);
+  EXPECT_EQ(db.AddEdge(v, "b", v + 1), kNoEdge);
+  EXPECT_EQ(db.num_edges(), 0u);
+  EXPECT_TRUE(db.OutEdges(v).empty());
+  EXPECT_TRUE(db.InNeighbors(v).empty());
+  EXPECT_EQ(db.generation(), generation);
+  EXPECT_EQ(db.labels().Find("b"), LabelDictionary::kInvalid);
+
+  // A valid edge right after is unaffected.
+  EXPECT_EQ(db.AddEdge(v, a, v), 0u);
+  EXPECT_EQ(db.num_edges(), 1u);
+  EXPECT_EQ(db.Freeze().num_edges(), 1u);
 }
-#endif
 
 }  // namespace
 }  // namespace dsw

@@ -1,4 +1,4 @@
-// Kernel policies behind the execution-tier layer (core/query_traits.h).
+// Kernel policies: the single-word and general kernel tiers.
 //
 // Every hot loop of the pipeline — the product-BFS frontier move in
 // core/annotate.cc, the trim reverse sweep in core/trimmed_index.cc, the
