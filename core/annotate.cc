@@ -13,23 +13,29 @@ constexpr uint32_t kNoSlot = UINT32_MAX;
 // The product BFS, templated over the word kernel (the execution-tier
 // layer, util/word_kernel.h): MultiWordKernel is the pre-tier loop
 // structure verbatim, SingleWordKernel collapses every per-set loop to
-// one uint64_t op for |Q| <= 64. Fills ann->levels and ann->lambda; the
-// caller has already seeded the metadata and rejected the trivial cases.
+// one uint64_t op for |Q| <= 64. Grows bfs->levels — exact levels
+// [0, D], D >= 0 — one level at a time until the newest level has
+// \p target carrying a final state (returns its index) or the frontier
+// runs dry (returns -1: the product is exhausted). seen is rebuilt from
+// the sealed levels, so the first build and every later growth are this
+// same code, and nothing sized |V| x |Q| outlives a call.
 template <typename Kernel>
-void ProductBfs(const Snapshot& snap, const Nfa& query, Kernel ker,
-                Annotation* out) {
-  Annotation& ann = *out;
-  const uint32_t source = ann.source;
-  const uint32_t target = ann.target;
+int32_t GrowLevels(const Snapshot& snap, Kernel ker, uint32_t target,
+                   Annotation* bfs) {
+  std::vector<LevelSets>& levels = bfs->levels;
   const LabelIndex& adj = snap.label_index();
-  const CompiledDelta& delta = ann.delta;
+  const CompiledDelta& delta = bfs->delta;
   const uint32_t num_vertices = snap.num_vertices();
   const uint32_t wps = ker.wps();
 
   // seen: flat V x |Q| bit matrix of product pairs already assigned a
-  // level. One zeroed calloc-style allocation; the BFS itself touches
-  // only visited rows.
+  // level. One zeroed calloc-style allocation, then one OR per sealed
+  // (level, vertex); the BFS itself touches only visited rows.
   std::vector<uint64_t> seen(static_cast<size_t>(num_vertices) * wps, 0);
+  for (const LevelSets& level : levels)
+    for (size_t vi = 0; vi < level.size(); ++vi)
+      ker.Or(&seen[static_cast<size_t>(level.vertex(vi)) * wps],
+             level.states(vi).words());
 
   // Next-frontier accumulator: dense per-vertex slot table + touched
   // list, so building a level is O(touched) with no hashing. Sealing
@@ -41,34 +47,11 @@ void ProductBfs(const Snapshot& snap, const Nfa& query, Kernel ker,
   std::vector<uint32_t> sorted;
   std::vector<uint64_t> slot_words;
 
-  // Level 0: closure-saturated initial states at the source. Later
-  // levels stay saturated by induction — delta rows compose the
-  // after-side closure, and a union of closed sets is closed.
-  StateSet init = query.initial();
-  if (ann.has_epsilon()) {
-    StateSet saturated(ann.num_states);
-    init.ForEach(
-        [&](uint32_t q) { saturated.UnionWith(ann.eps_closure[q]); });
-    init = std::move(saturated);
-  }
-  for (uint32_t w = 0; w < wps; ++w)
-    seen[static_cast<size_t>(source) * wps + w] = init.words()[w];
-
-  LevelSets frontier(ann.num_states);
-  frontier.Append(source, init.words());
-
-  StateSet moved(ann.num_states);
+  StateSet moved(bfs->num_states);
   std::vector<uint64_t> add_buf(wps);  // new bits of one relaxed edge
 
-  while (!frontier.empty()) {
-    ann.levels.push_back(std::move(frontier));
-    const LevelSets& current = ann.levels.back();
-    if (StateSetView at_target = current.Find(target);
-        at_target && at_target.Intersects(ann.final_states)) {
-      ann.lambda = static_cast<int32_t>(ann.levels.size() - 1);
-      return;
-    }
-
+  for (;;) {
+    const LevelSets& current = levels.back();
     touched.clear();
     slot_words.clear();
     for (size_t vi = 0; vi < current.size(); ++vi) {
@@ -102,52 +85,134 @@ void ProductBfs(const Snapshot& snap, const Nfa& query, Kernel ker,
         }
       }
     }
+    if (touched.empty()) return -1;  // exhausted
 
     // Seal the next level: sorted vertices, contiguous words.
-    frontier = LevelSets(ann.num_states);
+    LevelSets next(bfs->num_states);
     if (touched.size() >= num_vertices / 16) {
       for (uint32_t v = 0; v < num_vertices; ++v) {
         if (slot[v] == kNoSlot) continue;
-        frontier.Append(v, &slot_words[static_cast<size_t>(slot[v]) * wps]);
+        next.Append(v, &slot_words[static_cast<size_t>(slot[v]) * wps]);
         slot[v] = kNoSlot;
       }
     } else {
       sorted.assign(touched.begin(), touched.end());
       std::sort(sorted.begin(), sorted.end());
       for (uint32_t v : sorted)
-        frontier.Append(v, &slot_words[static_cast<size_t>(slot[v]) * wps]);
+        next.Append(v, &slot_words[static_cast<size_t>(slot[v]) * wps]);
       for (uint32_t v : touched) slot[v] = kNoSlot;
     }
+    levels.push_back(std::move(next));
+    if (StateSetView at_target = levels.back().Find(target);
+        at_target && at_target.Intersects(bfs->final_states))
+      return static_cast<int32_t>(levels.size() - 1);
   }
-
-  // Product exhausted without reaching (target, final): no answer.
-  ann.levels.clear();
 }
 
 }  // namespace
 
-Annotation Annotate(const Snapshot& snap, const Nfa& query, uint32_t source,
-                    uint32_t target, const AnnotateOptions& opts) {
-  Annotation ann;
-  ann.num_states = query.num_states();
-  ann.source = source;
-  ann.target = target;
-  ann.final_states = query.final_states();
-  if (query.has_epsilon()) ann.eps_closure = query.EpsilonClosures();
-  ann.delta = CompiledDelta(query, ann.eps_closure);  // closures shared
+SourceAnnotation::SourceAnnotation(Snapshot snap, const Nfa& query,
+                                   uint32_t source,
+                                   const AnnotateOptions& opts)
+    : snap_(std::move(snap)), force_multi_word_(opts.force_multi_word) {
+  bfs_.num_states = query.num_states();
+  bfs_.source = source;
+  bfs_.final_states = query.final_states();
+  if (query.has_epsilon()) bfs_.eps_closure = query.EpsilonClosures();
+  bfs_.delta = CompiledDelta(query, bfs_.eps_closure);  // closures shared
 
-  if (source >= snap.num_vertices() || target >= snap.num_vertices() ||
-      query.num_states() == 0 || query.initial().None())
-    return ann;
+  if (source >= snap_.num_vertices() || query.num_states() == 0 ||
+      query.initial().None()) {
+    exhausted_ = true;
+  } else {
+    // Level 0: closure-saturated initial states at the source. Later
+    // levels stay saturated by induction — delta rows compose the
+    // after-side closure, and a union of closed sets is closed.
+    StateSet init = query.initial();
+    if (bfs_.has_epsilon()) {
+      StateSet saturated(bfs_.num_states);
+      init.ForEach(
+          [&](uint32_t q) { saturated.UnionWith(bfs_.eps_closure[q]); });
+      init = std::move(saturated);
+    }
+    bfs_.levels.emplace_back(bfs_.num_states);
+    bfs_.levels.back().Append(source, init.words());
+  }
+  bytes_.store(bfs_.ApproxBytes(), std::memory_order_relaxed);
+}
+
+SourceAnnotation::SourceAnnotation(Snapshot snap, Annotation bfs,
+                                   const AnnotateOptions& opts)
+    : snap_(std::move(snap)),
+      force_multi_word_(opts.force_multi_word),
+      bfs_(std::move(bfs)) {
+  bfs_.lambda = -1;
+  exhausted_ = bfs_.levels.empty();
+  bytes_.store(bfs_.ApproxBytes(), std::memory_order_relaxed);
+}
+
+int32_t SourceAnnotation::ReachLocked(uint32_t target, bool* grew) {
+  if (grew) *grew = false;
+  if (target >= snap_.num_vertices()) return -1;
+  for (size_t i = 0; i < bfs_.levels.size(); ++i)
+    if (StateSetView at = bfs_.levels[i].Find(target);
+        at && at.Intersects(bfs_.final_states))
+      return static_cast<int32_t>(i);
+  if (exhausted_) return -1;
+  if (grew) *grew = true;
 
   // Tier dispatch: one-word queries run the collapsed single-word
   // kernels unless a test/bench forces the generic instantiation.
-  const uint32_t wps = ann.words_per_set();
-  if (wps == 1 && !opts.force_multi_word)
-    ProductBfs(snap, query, SingleWordKernel(), &ann);
-  else
-    ProductBfs(snap, query, MultiWordKernel(wps), &ann);
+  const uint32_t wps = bfs_.words_per_set();
+  const int32_t lambda =
+      wps == 1 && !force_multi_word_
+          ? GrowLevels(snap_, SingleWordKernel(), target, &bfs_)
+          : GrowLevels(snap_, MultiWordKernel(wps), target, &bfs_);
+  exhausted_ = lambda < 0;
+  bytes_.store(bfs_.ApproxBytes(), std::memory_order_relaxed);
+  return lambda;
+}
+
+Annotation SourceAnnotation::CopyLocked(size_t count) const {
+  Annotation out;
+  out.num_states = bfs_.num_states;
+  out.source = bfs_.source;
+  out.delta = bfs_.delta;
+  out.final_states = bfs_.final_states;
+  out.eps_closure = bfs_.eps_closure;
+  out.levels.assign(bfs_.levels.begin(),
+                    bfs_.levels.begin() +
+                        std::min(count, bfs_.levels.size()));
+  return out;
+}
+
+Annotation SourceAnnotation::Prefix(uint32_t target, bool* grew) {
+  std::lock_guard<std::mutex> lock(mu_);
+  const int32_t lambda = ReachLocked(target, grew);
+  Annotation ann = CopyLocked(static_cast<size_t>(lambda + 1));  // -1: none
+  ann.lambda = lambda;
+  ann.target = target;
   return ann;
+}
+
+Annotation SourceAnnotation::TakePrefix(uint32_t target) && {
+  std::lock_guard<std::mutex> lock(mu_);
+  const int32_t lambda = ReachLocked(target, nullptr);
+  Annotation ann = std::move(bfs_);
+  ann.lambda = lambda;
+  ann.target = target;
+  ann.levels.resize(static_cast<size_t>(lambda + 1));  // none if -1
+  return ann;
+}
+
+Annotation SourceAnnotation::Levels(size_t count) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return CopyLocked(count);
+}
+
+Annotation Annotate(const Snapshot& snap, const Nfa& query, uint32_t source,
+                    uint32_t target, const AnnotateOptions& opts) {
+  return SourceAnnotation(snap, query, source, opts).TakePrefix(target);
 }
 
 Annotation MultiSourceAnnotation::Slice(size_t j) const {

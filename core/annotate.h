@@ -36,11 +36,22 @@
 // states, per-state epsilon-closures) so the later stages (TrimmedIndex,
 // enumerators, whose bench-fixed constructors do not receive the Nfa)
 // need no reference back to it.
+//
+// Annotate stops once it seals level lambda, so the annotation of target
+// t is exactly levels [0, lambda_t] of one BFS rooted at the source —
+// the paper's Section 5.3 multi-target observation. SourceAnnotation
+// keeps that one BFS per (snapshot, automaton, source), grows it on
+// demand and hands each target a copy of its prefix; Annotate() is the
+// unshared special case (grow to one target, move the levels out), so
+// there is exactly one single-source product BFS in the codebase.
 
 #ifndef DSW_CORE_ANNOTATE_H_
 #define DSW_CORE_ANNOTATE_H_
 
+#include <atomic>
 #include <cstdint>
+#include <cstddef>
+#include <mutex>
 #include <vector>
 
 #include "core/database.h"
@@ -128,6 +139,66 @@ struct Annotation {
   }
 };
 
+/// The product BFS rooted at one source, for one automaton, on one
+/// snapshot, grown on demand. Holds exact levels [0, D], the compiled
+/// query and an exhausted flag (level D + 1 would be empty). Thread-safe:
+/// Prefix() grows and copies under the object's own mutex, so concurrent
+/// requests for different targets run the BFS once between them.
+class SourceAnnotation {
+ public:
+  /// Seeds level 0 (the closure-saturated initial states at \p source);
+  /// no level is relaxed until a Prefix() asks for one. An out-of-range
+  /// source, or an automaton without states or initial states, is
+  /// exhausted at once, with no levels.
+  SourceAnnotation(Snapshot snap, const Nfa& query, uint32_t source,
+                   const AnnotateOptions& opts = {});
+
+  /// Adopts ready-made exact levels [0, D] of the BFS from
+  /// \p bfs.source on \p snap, with their query snapshot: a PrepareBatch
+  /// slice, or a horizon-repaired copy (core/delta_annotate.h). lambda
+  /// and target are ignored. Not exhausted: growth may continue past D.
+  SourceAnnotation(Snapshot snap, Annotation bfs,
+                   const AnnotateOptions& opts = {});
+
+  SourceAnnotation(const SourceAnnotation&) = delete;
+  SourceAnnotation& operator=(const SourceAnnotation&) = delete;
+
+  /// Target \p target's annotation, bit-identical to Annotate(snap,
+  /// query, source, target): grows the BFS level by level until the
+  /// target carries a final state or the product is exhausted, then
+  /// copies levels [0, lambda_t]. An out-of-range target gets lambda = -1
+  /// without growing. \p grew, when given, reports whether this call
+  /// relaxed any level.
+  Annotation Prefix(uint32_t target, bool* grew = nullptr);
+
+  /// Annotate()'s path: grows to \p target and moves the levels out.
+  Annotation TakePrefix(uint32_t target) &&;
+
+  /// A copy of the first \p count levels built so far (all of [0, D]
+  /// by default) with the query snapshot, lambda = -1: the input of a
+  /// horizon repair.
+  Annotation Levels(size_t count = SIZE_MAX) const;
+
+  /// Heap footprint of the levels and the query snapshot, as of the
+  /// last growth; readable without the lock.
+  size_t ApproxBytes() const { return bytes_.load(std::memory_order_relaxed); }
+
+ private:
+  // Lambda of \p target, growing as needed; -1 when out of range or the
+  // product is exhausted first. Requires mu_ held (or sole ownership).
+  int32_t ReachLocked(uint32_t target, bool* grew);
+  // The query snapshot and the first \p count levels; lambda = -1.
+  // Requires mu_ held.
+  Annotation CopyLocked(size_t count) const;
+
+  mutable std::mutex mu_;
+  const Snapshot snap_;
+  const bool force_multi_word_;
+  Annotation bfs_;  // levels [0, D] + query snapshot; lambda, target unused
+  bool exhausted_ = false;
+  std::atomic<size_t> bytes_{0};
+};
+
 /// Result of one block-replicated product BFS from a source *set*: the
 /// multi-source prefix-sharing mode of the plan cache. Each source j
 /// owns an independent "block" of |Q| states — block j occupies words
@@ -192,10 +263,11 @@ MultiSourceAnnotation AnnotateMultiSource(const Snapshot& snap,
                                           uint32_t target);
 
 /// Runs the product BFS against a frozen snapshot, on the calling
-/// thread. The snapshot carries the label-stratified adjacency built at
-/// Freeze() time, so annotation is a pure read — any number of Annotate
-/// calls can run concurrently against one shared Snapshot. \p opts only
-/// selects the word kernel (see AnnotateOptions).
+/// thread: an unshared SourceAnnotation grown to \p target. The snapshot
+/// carries the label-stratified adjacency built at Freeze() time, so
+/// annotation is a pure read — any number of Annotate calls can run
+/// concurrently against one shared Snapshot. \p opts only selects the
+/// word kernel (see AnnotateOptions).
 Annotation Annotate(const Snapshot& snap, const Nfa& query, uint32_t source,
                     uint32_t target, const AnnotateOptions& opts = {});
 

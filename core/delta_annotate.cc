@@ -52,14 +52,11 @@ void DiffLevels(const LevelSets& old_level, const LevelSets& new_level,
 
 }  // namespace
 
-AnnotationRepair DeltaAnnotate(const Snapshot& snap, const EdgeDelta& delta,
-                               Annotation* ann) {
+AnnotationRepair DeltaAnnotateHorizon(const Snapshot& snap,
+                                      const EdgeDelta& delta,
+                                      Annotation* ann) {
   AnnotationRepair rep;
-  if (!delta.known) return rep;
-  // An unreachable annotation carries no level data (Annotate clears
-  // the levels on exhaustion), so there is nothing to repair from — and
-  // the initial-state set needed for a re-BFS was discarded with it.
-  if (!ann->reachable()) return rep;
+  if (!delta.known || ann->levels.empty()) return rep;
   snap.AssertFresh();
 
   const CompiledDelta& cd = ann->delta;
@@ -69,7 +66,8 @@ AnnotationRepair DeltaAnnotate(const Snapshot& snap, const EdgeDelta& delta,
   const uint32_t num_edges = static_cast<uint32_t>(snap.num_edges());
   const uint32_t num_states = ann->num_states;
   const uint32_t wps = ann->words_per_set();
-  const uint32_t old_lambda = static_cast<uint32_t>(ann->lambda);
+  // The repair horizon: levels past D are neither read nor produced.
+  const uint32_t horizon = static_cast<uint32_t>(ann->levels.size() - 1);
   assert(delta.first_new_vertex <= num_vertices);
   assert(delta.first_new_edge <= num_edges);
 
@@ -91,12 +89,12 @@ AnnotationRepair DeltaAnnotate(const Snapshot& snap, const EdgeDelta& delta,
   std::vector<Entry> entries;
   {
     size_t num_entries = 0;
-    for (uint32_t i = 0; i <= old_lambda; ++i)
+    for (uint32_t i = 0; i <= horizon; ++i)
       num_entries += ann->levels[i].size();
     assert(num_entries < kRow && "annotation too large for the entry ids");
     entries.reserve(num_entries);
   }
-  for (uint32_t i = 0; i <= old_lambda; ++i) {
+  for (uint32_t i = 0; i <= horizon; ++i) {
     const LevelSets& level = ann->levels[i];
     for (size_t vi = 0; vi < level.size(); ++vi) {
       uint32_t& h = head[level.vertex(vi)];
@@ -127,7 +125,7 @@ AnnotationRepair DeltaAnnotate(const Snapshot& snap, const EdgeDelta& delta,
   // (changed pairs relaxing onward, through old and new edges alike)
   // are generated by the wave itself.
   std::vector<std::vector<std::pair<uint32_t, uint32_t>>> bucket(
-      old_lambda + 1);
+      horizon + 1);
   for (uint32_t e = delta.first_new_edge; e < num_edges; ++e) {
     const Edge& edge = db.edge(e);
     if (!cd.HasLabel(edge.label)) continue;
@@ -136,7 +134,7 @@ AnnotationRepair DeltaAnnotate(const Snapshot& snap, const EdgeDelta& delta,
     const int32_t* src_row = row(edge.src);
     for (uint32_t q = 0; q < num_states; ++q) {
       const int32_t lvl = src_row[q];
-      if (lvl < 0 || static_cast<uint32_t>(lvl) + 1 > old_lambda) continue;
+      if (lvl < 0 || static_cast<uint32_t>(lvl) + 1 > horizon) continue;
       if (!sources.Test(q)) continue;
       state_set_detail::ForEachBit(
           cd.SuccessorWords(edge.label, q), wps, [&](uint32_t p) {
@@ -153,7 +151,7 @@ AnnotationRepair DeltaAnnotate(const Snapshot& snap, const EdgeDelta& delta,
   // the true distance would witness a shorter product path.
   std::vector<PairEvent> adds, removes;
   std::vector<std::pair<uint32_t, uint32_t>> accepted;
-  for (uint32_t j = 1; j <= old_lambda; ++j) {
+  for (uint32_t j = 1; j <= horizon; ++j) {
     accepted.clear();
     for (const auto& [v, q] : bucket[j]) {
       int32_t& cur = row(v)[q];
@@ -165,7 +163,7 @@ AnnotationRepair DeltaAnnotate(const Snapshot& snap, const EdgeDelta& delta,
       accepted.emplace_back(v, q);
     }
     bucket[j].clear();
-    if (j == old_lambda) continue;  // nothing beyond the old horizon matters
+    if (j == horizon) continue;  // nothing beyond the old horizon matters
     for (const auto& [v, q] : accepted) {
       for (const LabelIndex::Group& group : adj.GroupsOf(v)) {
         if (!cd.HasLabel(group.label)) continue;
@@ -179,34 +177,19 @@ AnnotationRepair DeltaAnnotate(const Snapshot& snap, const EdgeDelta& delta,
     }
   }
 
-  // New lambda: the smallest level where the target carries a final
-  // state — exactly the from-scratch early-return condition. It can
-  // only have shrunk.
-  int32_t new_lambda = INT32_MAX;
-  {
-    const int32_t* target_row = row(ann->target);
-    ann->final_states.ForEach([&](uint32_t q) {
-      const int32_t lvl = target_row[q];
-      if (lvl >= 0 && lvl < new_lambda) new_lambda = lvl;
-    });
-  }
-  assert(new_lambda <= static_cast<int32_t>(old_lambda) &&
-         "insertions can only shorten the shortest accepting walk");
-
   // Apply the accepted moves level by level: new level = (old | adds)
   // & ~removes per vertex. The formula absorbs add-then-remove chains
   // (a pair added at j and later settled lower leaves both events at
   // j; old never contained it, so OR-then-ANDNOT cancels exactly).
-  const uint32_t nl = static_cast<uint32_t>(new_lambda);
-  std::vector<std::vector<std::pair<uint32_t, uint32_t>>> adds_by(nl + 1),
-      removes_by(nl + 1);
+  std::vector<std::vector<std::pair<uint32_t, uint32_t>>> adds_by(
+      horizon + 1),
+      removes_by(horizon + 1);
   for (const PairEvent& ev : adds)
-    if (ev.level <= nl) adds_by[ev.level].emplace_back(ev.vertex, ev.state);
+    adds_by[ev.level].emplace_back(ev.vertex, ev.state);
   for (const PairEvent& ev : removes)
-    if (ev.level <= nl)
-      removes_by[ev.level].emplace_back(ev.vertex, ev.state);
+    removes_by[ev.level].emplace_back(ev.vertex, ev.state);
 
-  rep.changed.assign(nl + 1, {});
+  rep.changed.assign(horizon + 1, {});
   std::vector<uint64_t> buf(wps);
   // Per-touched-vertex staging: the final word image of every event
   // vertex is computed once (against the untouched level), then
@@ -223,7 +206,7 @@ AnnotationRepair DeltaAnnotate(const Snapshot& snap, const EdgeDelta& delta,
   };
   std::vector<StagedVertex> staged;
   std::vector<uint64_t> staged_words;
-  for (uint32_t i = 0; i <= nl; ++i) {
+  for (uint32_t i = 0; i <= horizon; ++i) {
     auto& add_list = adds_by[i];
     auto& remove_list = removes_by[i];
     if (add_list.empty() && remove_list.empty()) continue;
@@ -308,10 +291,35 @@ AnnotationRepair DeltaAnnotate(const Snapshot& snap, const EdgeDelta& delta,
     ann->levels[i] = std::move(rebuilt);
   }
 
-  rep.lambda_changed = nl != old_lambda;
-  ann->levels.resize(nl + 1);
-  ann->lambda = new_lambda;
   rep.ok = true;
+  return rep;
+}
+
+AnnotationRepair DeltaAnnotate(const Snapshot& snap, const EdgeDelta& delta,
+                               Annotation* ann) {
+  // An unreachable annotation carries no level data (Annotate clears
+  // the levels on exhaustion), so there is nothing to repair from — and
+  // the initial-state set needed for a re-BFS was discarded with it.
+  if (!ann->reachable()) return AnnotationRepair{};
+  AnnotationRepair rep = DeltaAnnotateHorizon(snap, delta, ann);
+  if (!rep.ok) return rep;
+
+  // New lambda: the smallest level where the target carries a final
+  // state — exactly the from-scratch early-return condition. It can
+  // only have shrunk, so the old horizon holds it.
+  const int32_t old_lambda = ann->lambda;
+  int32_t new_lambda = 0;
+  for (;; ++new_lambda) {
+    assert(new_lambda <= old_lambda &&
+           "insertions can only shorten the shortest accepting walk");
+    if (StateSetView at = ann->levels[new_lambda].Find(ann->target);
+        at && at.Intersects(ann->final_states))
+      break;
+  }
+  rep.lambda_changed = new_lambda != old_lambda;
+  ann->levels.resize(static_cast<size_t>(new_lambda) + 1);
+  rep.changed.resize(static_cast<size_t>(new_lambda) + 1);
+  ann->lambda = new_lambda;
   return rep;
 }
 

@@ -24,6 +24,13 @@
 //     carries a final state; levels above it are dropped, mirroring the
 //     from-scratch early return.
 //
+// Steps 1-2 alone are the horizon mode (DeltaAnnotateHorizon): it
+// repairs exact levels [0, D] of a shared SourceAnnotation and truncates
+// nothing, so one wave serves every target of that source at once — the
+// engine's install runs it once per (automaton, source), and each plan
+// then takes its new prefix and its own DeltaTrim. DeltaAnnotate is the
+// horizon repair of one plan's levels [0, lambda] followed by step 3.
+//
 // The result is bit-identical to Annotate() on the new snapshot (the
 // oracle test in tests/delta_annotate_test.cc asserts this after every
 // insertion, epsilon-NFAs included). The wave's cost is bounded by the
@@ -85,7 +92,8 @@ class DeltaContext {
 /// clears the levels on exhaustion); the annotation is untouched and
 /// the caller must rebuild from scratch. changed[i] lists, sorted
 /// ascending, the vertices whose state set at level i differs from
-/// before (added, removed, or mutated); sized new-lambda + 1.
+/// before (added, removed, or mutated); sized new-lambda + 1 (D + 1 in
+/// horizon mode).
 struct AnnotationRepair {
   bool ok = false;
   bool lambda_changed = false;
@@ -98,10 +106,23 @@ struct AnnotationRepair {
 AnnotationRepair DeltaAnnotate(const Snapshot& snap, const EdgeDelta& delta,
                                Annotation* ann);
 
+/// Horizon mode: repairs every level of \p bfs — exact levels [0, D] of
+/// one source's product BFS, as SourceAnnotation::Levels() copies them —
+/// and truncates nothing; lambda and target are ignored. Afterwards
+/// the levels are exact levels [0, D] of the BFS on \p snap (pairs whose
+/// new distance exceeds D are left to later growth). changed is sized
+/// D + 1 and lambda_changed is false; ok == false only for an unknown
+/// delta or an empty annotation.
+AnnotationRepair DeltaAnnotateHorizon(const Snapshot& snap,
+                                      const EdgeDelta& delta,
+                                      Annotation* bfs);
+
 /// Produces the TrimmedIndex of the repaired annotation \p ann by
 /// patching \p old_index (built from the pre-delta annotation).
-/// Requires rep.ok. Incremental (dirty-vertex re-trim + clean-vertex
-/// block copies) when lambda is unchanged; a full backward sweep —
+/// Requires rep.ok. Only rep.changed[0, ann.lambda] is read, so a
+/// horizon repair's longer list serves every prefix of its levels.
+/// Incremental (dirty-vertex re-trim + clean-vertex block copies) when
+/// lambda is unchanged; a full backward sweep —
 /// still skipping the product BFS — when it shrank. Bit-identical to
 /// TrimmedIndex(snap, ann) either way.
 TrimmedIndex DeltaTrim(const Snapshot& snap, const Annotation& ann,

@@ -80,7 +80,8 @@ struct QueryEngine::WorkerCache {
 
 QueryEngine::QueryEngine(const EngineOptions& options)
     : worker_cache_entries_(std::max(options.worker_cache_entries, 1u)),
-      cache_(options.plan_cache_bytes) {
+      cache_(options.plan_cache_bytes),
+      share_annotations_(options.plan_cache_bytes > 0) {
   uint32_t num_threads = std::max(options.num_threads, 1u);
   workers_.reserve(num_threads);
   for (uint32_t i = 0; i < num_threads; ++i)
@@ -101,37 +102,46 @@ QueryEngine::~QueryEngine() {
 
 namespace {
 
-// One plan-cache entry run through the delta-repair pipeline.
-// value == nullptr means the plan was dropped (unrepairable: the old
-// annotation was unreachable, so it carries no levels to repair — and
-// the inserts may well have made it reachable, so a fresh build on the
-// next Prepare miss is also the semantically required outcome).
-// order_preserved means lambda did not change, so old answers keep
-// their relative enumeration order and a parked walk is still a valid
-// SeekAfter anchor.
+// Runs fn(0), ..., fn(n - 1) on the calling thread plus helpers,
+// \p threads at once in total. std::async futures join on destruction,
+// exception paths included.
+template <typename Fn>
+void ParallelFor(size_t n, size_t threads, const Fn& fn) {
+  std::atomic<size_t> next{0};
+  auto run = [&] {
+    for (size_t i; (i = next.fetch_add(1)) < n;) fn(i);
+  };
+  std::vector<std::future<void>> helpers;
+  for (size_t t = 1; t < std::min(threads, n); ++t)
+    helpers.push_back(std::async(std::launch::async, run));
+  run();
+  for (std::future<void>& h : helpers) h.get();
+}
+
+// One plan-cache entry run through the delta-repair pipeline. value ==
+// nullptr means the plan was dropped: it was unreachable, so it holds
+// no shared annotation to repair — and the inserts may well have made
+// it reachable, so a fresh build on the next Prepare miss is also the
+// semantically required outcome. order_preserved means lambda did not
+// change, so old answers keep their relative enumeration order and a
+// parked walk is still a valid SeekAfter anchor.
 struct RepairedPlan {
   std::shared_ptr<const PreparedQuery> value;
   bool order_preserved = false;
 };
 
-RepairedPlan RepairPlan(const Snapshot& snap, const EdgeDelta& delta,
-                        const DeltaContext& ctx, const PreparedQuery& old) {
-  RepairedPlan out;
-  Annotation ann = old.ann;
-  AnnotationRepair rep = DeltaAnnotate(snap, delta, &ann);
-  if (!rep.ok) return out;
-  TrimmedIndex trimmed =
-      DeltaTrim(snap, ann, old.index.trimmed(), rep, delta, ctx);
-  out.value = std::make_shared<const PreparedQuery>(snap, std::move(ann),
-                                                    std::move(trimmed));
-  out.order_preserved = !rep.lambda_changed;
-  return out;
-}
+// The extracted plans holding one shared annotation, and its repair.
+struct RepairGroup {
+  size_t first;       // an entry of the group, for its annotation and key
+  size_t levels = 0;  // levels its plans use: the deepest lambda + 1
+  std::shared_ptr<SourceAnnotation> repaired;  // null if unrepairable
+  AnnotationRepair rep;
+};
 
 }  // namespace
 
 void QueryEngine::InstallSnapshot(Snapshot snap) {
-  assert(static_cast<bool>(snap) && "InstallSnapshot: null snapshot");
+  if (!snap) return;  // a null snapshot changes nothing
   const Database* db = &snap.db();
   const uint64_t gen = snap.generation();
   Snapshot prev;
@@ -159,30 +169,84 @@ void QueryEngine::InstallSnapshot(Snapshot snap) {
       old_entries = cache_.TakeGeneration(db, prev.generation());
   }
 
-  // Plan entries of other generations can never be served again (keys
-  // carry the generation); drop them eagerly. Outside mu_ — the cache
-  // has its own lock and the two are never held together.
+  // Plan entries and shared annotations of other generations can never
+  // be served again (keys carry the generation); drop them eagerly.
+  // Outside mu_ — the cache and the registry have their own locks, and
+  // no two of the three are ever held together.
   cache_.Invalidate(db, gen);
+  annotations_.Invalidate(db, gen);
 
-  // Repair each extracted plan against the new snapshot and re-insert
-  // it under the new generation's key. The repairs are independent pure
-  // reads of (snap, delta, ctx, old plan), and an install's cost grows
-  // with the number of cached plans, so they run on as many threads as
-  // the engine has workers.
+  // Group the extracted plans by the shared annotation they hold. Each
+  // group's levels are copied and repaired once, in horizon mode, and
+  // registered for the new generation; each plan of the group then
+  // takes its new prefix from the repair — its new lambda is the first
+  // level <= its old one where the target carries a final state — and
+  // gets one DeltaTrim. Only the levels the group's plans use are
+  // repaired: deeper ones (grown for unreachable or uncached targets,
+  // up to the whole reachable product) are left to regrow on demand,
+  // since repairing them at every write costs more than regrowing them
+  // on the rare miss that needs them. The repairs are independent pure
+  // reads of (snap, delta, old structures), so both phases run on as
+  // many threads as the engine has workers.
+  constexpr uint32_t kNoGroup = UINT32_MAX;
+  std::vector<RepairGroup> groups;
+  std::vector<uint32_t> group_of(old_entries.size(), kNoGroup);
+  {
+    std::unordered_map<const SourceAnnotation*, uint32_t> index;
+    for (size_t i = 0; i < old_entries.size(); ++i) {
+      const SourceAnnotation* sa = old_entries[i].second->shared.get();
+      if (sa == nullptr) continue;  // unreachable: dropped
+      auto [it, fresh] =
+          index.emplace(sa, static_cast<uint32_t>(groups.size()));
+      if (fresh) groups.push_back(RepairGroup{i, 0, nullptr, {}});
+      group_of[i] = it->second;
+      size_t& levels = groups[it->second].levels;
+      levels = std::max(levels, old_entries[i].second->ann.levels.size());
+    }
+  }
   std::vector<RepairedPlan> repairs(old_entries.size());
-  if (!old_entries.empty()) {
+  if (!groups.empty()) {
+    ParallelFor(groups.size(), workers_.size(), [&](size_t g) {
+      RepairGroup& group = groups[g];
+      Annotation bfs =
+          old_entries[group.first].second->shared->Levels(group.levels);
+      group.rep = DeltaAnnotateHorizon(snap, delta, &bfs);
+      if (group.rep.ok)
+        group.repaired = std::make_shared<SourceAnnotation>(snap,
+                                                            std::move(bfs));
+    });
+    for (const RepairGroup& group : groups) {
+      if (!group.repaired) continue;
+      annotations_repaired_.fetch_add(1, std::memory_order_relaxed);
+      PlanKey key = old_entries[group.first].first;
+      key.generation = gen;
+      bool created = false;  // a concurrent Prepare may have beaten us
+      annotations_.GetOrRegister(
+          key, [&group] { return group.repaired; }, &created);
+    }
     DeltaContext ctx(snap);
-    std::atomic<size_t> next{0};
-    auto repair_some = [&] {
-      for (size_t i; (i = next.fetch_add(1)) < old_entries.size();)
-        repairs[i] = RepairPlan(snap, delta, ctx, *old_entries[i].second);
-    };
-    // std::async futures join on destruction, exception paths included.
-    std::vector<std::future<void>> helpers;
-    for (size_t t = 1; t < std::min(workers_.size(), old_entries.size()); ++t)
-      helpers.push_back(std::async(std::launch::async, repair_some));
-    repair_some();
-    for (std::future<void>& h : helpers) h.get();
+    // A full backward sweep for plans whose lambda shrank.
+    AnnotationRepair retrim;
+    retrim.ok = true;
+    retrim.lambda_changed = true;
+    ParallelFor(old_entries.size(), workers_.size(), [&](size_t i) {
+      if (group_of[i] == kNoGroup) return;
+      const RepairGroup& group = groups[group_of[i]];
+      if (!group.repaired) return;
+      const PreparedQuery& old = *old_entries[i].second;
+      Annotation ann = group.repaired->Prefix(old.target);
+      if (!ann.reachable()) return;  // insertions cannot do this
+      // A plan's levels are a prefix of the annotation it holds, so the
+      // group's changed lists cover every level DeltaTrim reads.
+      const bool same = ann.lambda == old.ann.lambda;
+      assert(static_cast<size_t>(ann.lambda) < group.rep.changed.size());
+      TrimmedIndex trimmed = DeltaTrim(snap, ann, old.index.trimmed(),
+                                       same ? group.rep : retrim, delta,
+                                       ctx);
+      repairs[i].value = std::make_shared<const PreparedQuery>(
+          snap, std::move(ann), std::move(trimmed), group.repaired);
+      repairs[i].order_preserved = same;
+    });
   }
   std::unordered_map<const PreparedQuery*, const RepairedPlan*>
       upgrades;  // old plan -> its repair
@@ -251,27 +315,54 @@ uint32_t* QueryEngine::ParkedCountLocked(const Session& s) {
   return s.epoch == slot.order_epoch ? &slot.parked_started : nullptr;
 }
 
+std::shared_ptr<const PreparedQuery> QueryEngine::PlanOnShared(
+    const Snapshot& snap, std::shared_ptr<SourceAnnotation> sa,
+    uint32_t target) {
+  bool grew = false;
+  Annotation ann = sa->Prefix(target, &grew);
+  if (grew) annotation_grows_.fetch_add(1, std::memory_order_relaxed);
+  if (!ann.reachable()) sa = nullptr;  // unreachable plans hold none
+  return std::make_shared<const PreparedQuery>(snap, std::move(ann),
+                                               std::move(sa));
+}
+
+std::shared_ptr<const PreparedQuery> QueryEngine::BuildPlan(
+    const Snapshot& snap, const Nfa& query, const PlanKey& key) {
+  const bool in_range = key.source < snap.num_vertices() &&
+                        key.target < snap.num_vertices();
+  if (!share_annotations_ || !in_range) {
+    if (in_range) annotations_built_.fetch_add(1, std::memory_order_relaxed);
+    return std::make_shared<const PreparedQuery>(snap, query, key.source,
+                                                 key.target);
+  }
+  bool created = false;
+  std::shared_ptr<SourceAnnotation> sa = annotations_.GetOrRegister(
+      key,
+      [&] {
+        return std::make_shared<SourceAnnotation>(snap, query, key.source);
+      },
+      &created);
+  if (created) annotations_built_.fetch_add(1, std::memory_order_relaxed);
+  return PlanOnShared(snap, std::move(sa), key.target);
+}
+
 QueryId QueryEngine::Prepare(const Nfa& query, uint32_t source,
                              uint32_t target) {
   Snapshot snap;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    assert(static_cast<bool>(snapshot_) &&
-           "Prepare: no snapshot installed");
+    if (!snapshot_) return kNoQuery;  // nothing to build against yet
     snap = snapshot_;
   }
   CanonicalAutomaton canon = CanonicalizeAutomaton(query);
   PlanKey key{&snap.db(), snap.generation(), canon.hash,
               std::move(canon.bytes), source, target};
-  // The expensive build (annotate + trim + rank arrays) runs
+  // The expensive build (annotate growth + trim + rank arrays) runs
   // outside both the engine and the cache lock: misses on different
   // keys proceed in parallel, all against the same frozen snapshot;
   // misses on the SAME key build once (single-flight).
   std::shared_ptr<const PreparedQuery> prepared = cache_.GetOrBuild(
-      key, [&snap, &query, source, target] {
-        return std::make_shared<const PreparedQuery>(snap, query, source,
-                                                     target);
-      });
+      key, [&] { return BuildPlan(snap, query, key); });
   BumpTier(*prepared);
   std::lock_guard<std::mutex> lock(mu_);
   return RegisterLocked(std::move(prepared));
@@ -293,8 +384,7 @@ std::vector<QueryId> QueryEngine::PrepareBatch(
   Snapshot snap;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    assert(static_cast<bool>(snapshot_) &&
-           "PrepareBatch: no snapshot installed");
+    if (!snapshot_) return std::vector<QueryId>(sources.size(), kNoQuery);
     snap = snapshot_;
   }
   CanonicalAutomaton canon = CanonicalizeAutomaton(query);
@@ -303,23 +393,61 @@ std::vector<QueryId> QueryEngine::PrepareBatch(
   for (uint32_t s : sources)
     keys.push_back(PlanKey{&snap.db(), snap.generation(), canon.hash,
                            canon.bytes, s, target});
-  // All claimed (absent) sources share ONE block-replicated product BFS;
-  // each slice is bit-identical to a per-source Annotate, so cache
-  // entries filled here and by single Prepare() are interchangeable.
-  std::vector<PlanCache::Value> values = cache_.GetOrBuildBatch(
-      keys, [&snap, &query, &sources, target](const std::vector<size_t>& idx) {
-        std::vector<uint32_t> batch_sources;
-        batch_sources.reserve(idx.size());
-        for (size_t i : idx) batch_sources.push_back(sources[i]);
-        MultiSourceAnnotation ms =
-            AnnotateMultiSource(snap, query, batch_sources, target);
-        std::vector<PlanCache::Value> built;
-        built.reserve(idx.size());
-        for (size_t j = 0; j < idx.size(); ++j)
-          built.push_back(
-              std::make_shared<const PreparedQuery>(snap, ms.Slice(j)));
-        return built;
-      });
+  const uint32_t num_vertices = snap.num_vertices();
+  // Claimed (absent) sources whose shared annotation is registered copy
+  // their prefix; the rest share block-replicated product BFSs of
+  // kBatchSourcesPerBfs sources each. Every slice is bit-identical to a
+  // per-source Annotate, so cache entries filled here and by single
+  // Prepare() are interchangeable, and a reachable slice — exactly
+  // levels [0, lambda] of its source's BFS — seeds that source's shared
+  // annotation when none is registered.
+  auto build_many = [&](const std::vector<size_t>& idx) {
+    std::vector<PlanCache::Value> built(idx.size());
+    std::vector<size_t> pending;  // positions in idx that need a BFS
+    for (size_t j = 0; j < idx.size(); ++j) {
+      const PlanKey& key = keys[idx[j]];
+      if (share_annotations_ && key.source < num_vertices &&
+          target < num_vertices)
+        if (std::shared_ptr<SourceAnnotation> sa = annotations_.Find(key)) {
+          built[j] = PlanOnShared(snap, std::move(sa), target);
+          continue;
+        }
+      pending.push_back(j);
+    }
+    for (size_t begin = 0; begin < pending.size();
+         begin += kBatchSourcesPerBfs) {
+      const size_t end =
+          std::min(pending.size(), begin + kBatchSourcesPerBfs);
+      std::vector<uint32_t> chunk;
+      chunk.reserve(end - begin);
+      for (size_t c = begin; c < end; ++c)
+        chunk.push_back(keys[idx[pending[c]]].source);
+      MultiSourceAnnotation ms =
+          AnnotateMultiSource(snap, query, chunk, target);
+      for (size_t c = begin; c < end; ++c) {
+        const size_t j = pending[c];
+        const PlanKey& key = keys[idx[j]];
+        Annotation ann = ms.Slice(c - begin);
+        if (key.source < num_vertices && target < num_vertices)
+          annotations_built_.fetch_add(1, std::memory_order_relaxed);
+        std::shared_ptr<SourceAnnotation> sa;
+        bool created = true;
+        if (share_annotations_ && ann.reachable())
+          sa = annotations_.GetOrRegister(
+              key,
+              [&] { return std::make_shared<SourceAnnotation>(snap, ann); },
+              &created);
+        // One registered meanwhile may be shallower than this slice: the
+        // plan takes its prefix from it, so the two always agree.
+        built[j] = created ? std::make_shared<const PreparedQuery>(
+                                 snap, std::move(ann), std::move(sa))
+                           : PlanOnShared(snap, std::move(sa), target);
+      }
+    }
+    return built;
+  };
+  std::vector<PlanCache::Value> values =
+      cache_.GetOrBuildBatch(keys, build_many);
   std::vector<QueryId> ids;
   ids.reserve(values.size());
   for (const PlanCache::Value& v : values) BumpTier(*v);
@@ -438,11 +566,22 @@ EngineStats QueryEngine::Stats() const {
   stats.tier_single_word =
       tier_single_word_.load(std::memory_order_relaxed);
   stats.tier_general = tier_general_.load(std::memory_order_relaxed);
+  stats.annotations_built =
+      annotations_built_.load(std::memory_order_relaxed);
+  stats.annotation_grows = annotation_grows_.load(std::memory_order_relaxed);
+  stats.annotations_repaired =
+      annotations_repaired_.load(std::memory_order_relaxed);
+  stats.shared_annotation_bytes = annotations_.LiveBytes();
   std::lock_guard<std::mutex> lock(mu_);
   stats.sessions_retired = sessions_retired_;
   stats.plans_upgraded = plans_upgraded_;
   stats.sessions_upgraded = sessions_upgraded_;
   return stats;
+}
+
+std::shared_ptr<const PreparedQuery> QueryEngine::Plan(QueryId query) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return query < queries_.size() ? slots_[queries_[query]].plan : nullptr;
 }
 
 PumpResult QueryEngine::RunBatch(

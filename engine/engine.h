@@ -14,9 +14,15 @@
 //    structure with zero annotate/trim work; misses build once —
 //    concurrent misses on one key build once total (single-flight) —
 //    and the result is shared (read-only) by every session and worker.
-//  - PrepareBatch() prepares one query from MANY sources via a single
-//    block-replicated multi-source product BFS (AnnotateMultiSource),
-//    so the per-source plans share one annotate run's work.
+//    A miss runs no product BFS of its own: it copies its prefix out of
+//    the (automaton, source)'s shared SourceAnnotation (one BFS per
+//    source per generation, grown to the deepest target asked for) and
+//    builds only trim and queue layout.
+//  - PrepareBatch() prepares one query from MANY sources via
+//    block-replicated multi-source product BFSs (AnnotateMultiSource,
+//    kBatchSourcesPerBfs sources at a time), so the per-source plans
+//    share one annotate run's work; each reachable slice seeds its
+//    source's shared annotation.
 //  - PrepareRegex() goes in at the source level: parse, canonicalize
 //    (regex/canonical.h), pick Thompson vs Glushkov per query from the
 //    E9 size heuristic (automaton/frontend.h), then Prepare — so
@@ -81,6 +87,10 @@ namespace dsw {
 using QueryId = uint32_t;
 using SessionId = uint32_t;
 
+/// An id the engine never hands out: what Prepare returns while no
+/// snapshot is installed. Sessions opened on it pump kRetired.
+inline constexpr QueryId kNoQuery = ~QueryId{0};
+
 enum class PumpStatus : uint8_t {
   kOk,         // batch filled; more answers may remain
   kExhausted,  // enumeration complete (this batch may still hold walks)
@@ -122,6 +132,18 @@ struct EngineStats {
                              // kept so readers of the field compile
   uint64_t tier_single_word = 0;
   uint64_t tier_general = 0;
+  // Shared annotations (core/annotate.h SourceAnnotation). built counts
+  // product BFSs rooted at a source: a shared annotation Prepare
+  // registered, a source of a PrepareBatch BFS, and with sharing off
+  // (plan_cache_bytes == 0) every unshared build. grows counts builds
+  // that relaxed further levels of a shared annotation; repaired counts
+  // install-time horizon repairs, one per shared annotation.
+  uint64_t annotations_built = 0;
+  uint64_t annotation_grows = 0;
+  uint64_t annotations_repaired = 0;
+  // Bytes of the live shared annotations; not charged to the plan
+  // cache's budget.
+  size_t shared_annotation_bytes = 0;
 };
 
 /// Status-or result of PrepareRegex.
@@ -148,14 +170,19 @@ class QueryEngine {
   /// Sessions and prepared queries of any older install are retired:
   /// their next pump returns PumpStatus::kRetired.
   ///
+  /// A null snapshot changes nothing.
+  ///
   /// Incremental path: when the new snapshot is a later generation of
   /// the SAME database and its delta against the previous install is a
   /// known insert-only suffix (Snapshot::DeltaFrom), the previous
-  /// generation's plan-cache entries are *upgraded* — annotation
-  /// repaired by the bounded re-relaxation wave, trimmed/B-list
-  /// structure patched, rank arrays rebuilt — and re-inserted under the
-  /// new generation's keys instead of dropped. Any other snapshot (one
-  /// of another Database, or an unknown delta) drops every cached plan.
+  /// generation's plan-cache entries are *upgraded* and re-inserted
+  /// under the new generation's keys instead of dropped: each shared
+  /// annotation the plans hold is repaired once by the bounded
+  /// re-relaxation wave (horizon mode) and registered for the new
+  /// generation, then every plan takes its new prefix from it, gets its
+  /// trimmed/B-list structure patched and its rank arrays rebuilt. Any
+  /// other snapshot (one of another Database, or an unknown delta)
+  /// drops every cached plan.
   /// The slot of each repaired plan is re-pointed at the upgrade, which
   /// moves every QueryId and session on it at once. A parked session
   /// survives when its plan's enumeration order is an anchor across the
@@ -165,28 +192,40 @@ class QueryEngine {
   /// their slot's order epoch: unstarted sessions follow the upgrade,
   /// started ones retire lazily on the epoch mismatch. Slots of plans
   /// that were not repaired (evicted, unrepairable, another database)
-  /// drop their plan and their sessions retire. Cost: the repairs, run
-  /// on the calling (control) thread plus helpers, num_threads() at once
-  /// in total, plus one pass over the live slots (one per plan
-  /// registered in, or carried into, the previous generation) — never
-  /// over the sessions.
+  /// drop their plan and their sessions retire. Cost: one copy and
+  /// repair per (automaton, source) of the levels its cached plans use
+  /// (deeper ones regrow on demand), then one prefix copy and
+  /// DeltaTrim per cached plan — no per-plan DeltaAnnotate — run on the
+  /// calling (control) thread plus helpers, num_threads() at once in
+  /// total, plus one pass over the live slots (one per plan registered
+  /// in, or carried into, the previous generation) — never over the
+  /// sessions.
   void InstallSnapshot(Snapshot snap);
 
   /// Resolves the prepared structure for (query, source, target)
   /// against the installed snapshot through the plan cache: a warm hit
   /// returns the shared structure with no annotate/trim work; a miss
   /// builds once on the calling thread (concurrent misses on the same
-  /// key wait for the one build). Requires a snapshot to be installed.
-  /// A build runs annotate and trim on the calling thread; concurrency
-  /// comes from concurrent Prepare calls, not from inside one build.
+  /// key wait for the one build). Returns kNoQuery while no snapshot is
+  /// installed. A build runs (the growth of the shared annotation, if
+  /// any, and) trim on the calling thread; concurrency comes from
+  /// concurrent Prepare calls, not from inside one build.
   QueryId Prepare(const Nfa& query, uint32_t source, uint32_t target);
 
+  /// Sources per block-replicated BFS in PrepareBatch: bounds its seen
+  /// matrix at |V| x kBatchSourcesPerBfs x ceil(|Q| / 64) words, however
+  /// many sources one call brings.
+  static constexpr size_t kBatchSourcesPerBfs = 32;
+
   /// Prepares (query, s, target) for every s in \p sources. Cached
-  /// sources hit; all missing sources are built by ONE block-replicated
-  /// multi-source product BFS (core/annotate.h AnnotateMultiSource) and
-  /// sliced into per-source prepared structures bit-identical to what
-  /// per-source Prepare would build. Returns one QueryId per source, in
-  /// order (duplicates allowed; they share the cache entry).
+  /// sources hit, and sources whose shared annotation is registered
+  /// copy their prefix; the rest are built by block-replicated
+  /// multi-source product BFSs (core/annotate.h AnnotateMultiSource),
+  /// kBatchSourcesPerBfs sources each, and sliced into per-source
+  /// prepared structures bit-identical to what per-source Prepare would
+  /// build. Returns one QueryId per source, in order (duplicates
+  /// allowed; they share the cache entry); kNoQuery for each while no
+  /// snapshot is installed.
   std::vector<QueryId> PrepareBatch(const Nfa& query,
                                     const std::vector<uint32_t>& sources,
                                     uint32_t target);
@@ -230,6 +269,11 @@ class QueryEngine {
   /// Point-in-time observability snapshot (plan cache + scheduling).
   EngineStats Stats() const;
 
+  /// The plan \p query resolves to now (after an upgrade, the repaired
+  /// one), or null for an id never handed out or a released plan. The
+  /// plan is read-only; holding it keeps it alive.
+  std::shared_ptr<const PreparedQuery> Plan(QueryId query) const;
+
   uint32_t num_threads() const {
     return static_cast<uint32_t>(workers_.size());
   }
@@ -272,6 +316,17 @@ class QueryEngine {
   // Registers a cache-resolved prepared query in the session-facing
   // query table (sharing the plan's slot); returns its QueryId.
   QueryId RegisterLocked(std::shared_ptr<const PreparedQuery> prepared);
+
+  // A plan-cache miss: the prefix of the registered shared annotation of
+  // \p key's (automaton, source), or an unshared build when sharing is
+  // off or an endpoint is out of range.
+  std::shared_ptr<const PreparedQuery> BuildPlan(const Snapshot& snap,
+                                                 const Nfa& query,
+                                                 const PlanKey& key);
+  // The plan of \p target on the shared annotation \p sa.
+  std::shared_ptr<const PreparedQuery> PlanOnShared(
+      const Snapshot& snap, std::shared_ptr<SourceAnnotation> sa,
+      uint32_t target);
 
   // The slot count a parked \p s is kept in, or null when no upgrade
   // can carry it (slot retired, or started before an order change).
@@ -318,6 +373,11 @@ class QueryEngine {
   // through the cache before taking mu_; InstallSnapshot invalidates
   // after releasing it).
   PlanCache cache_;
+  // The shared annotations plans copy their prefixes from; off, like
+  // the cache, when plan_cache_bytes is 0. Its lock is never held
+  // together with the cache's or mu_ (builders run outside both).
+  const bool share_annotations_;
+  AnnotationRegistry annotations_;
 
   // Lock-free counters: bumped outside mu_ (workers, PrepareRegex).
   std::atomic<uint64_t> worker_cache_evictions_{0};
@@ -325,6 +385,9 @@ class QueryEngine {
   std::atomic<uint64_t> frontend_glushkov_{0};
   std::atomic<uint64_t> tier_single_word_{0};
   std::atomic<uint64_t> tier_general_{0};
+  std::atomic<uint64_t> annotations_built_{0};
+  std::atomic<uint64_t> annotation_grows_{0};
+  std::atomic<uint64_t> annotations_repaired_{0};
 
   void BumpTier(const PreparedQuery& plan);
 

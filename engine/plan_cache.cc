@@ -1,5 +1,6 @@
 #include "engine/plan_cache.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace dsw {
@@ -314,6 +315,55 @@ void PlanCache::Invalidate(const Database* db, uint64_t generation) {
     }
   }
   cv_.notify_all();
+}
+
+// ------------------------------------------------ AnnotationRegistry
+
+PlanKey AnnotationRegistry::SourceKey(const PlanKey& key) {
+  PlanKey k = key;
+  k.target = 0;
+  return k;
+}
+
+AnnotationRegistry::Ptr AnnotationRegistry::Find(const PlanKey& key) {
+  const PlanKey k = SourceKey(key);
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = map_.find(k);
+  return it == map_.end() ? nullptr : it->second.lock();
+}
+
+AnnotationRegistry::Ptr AnnotationRegistry::GetOrRegister(
+    const PlanKey& key, const std::function<Ptr()>& make, bool* created) {
+  PlanKey k = SourceKey(key);
+  *created = false;
+  std::lock_guard<std::mutex> lock(mu_);
+  std::weak_ptr<SourceAnnotation>& slot = map_[std::move(k)];
+  if (Ptr live = slot.lock()) return live;
+  Ptr made = make();
+  slot = made;
+  *created = true;
+  // Registrations whose last plan is gone only hold an expired weak
+  // reference; sweep them once the map has doubled since the last sweep.
+  if (map_.size() >= sweep_at_) {
+    std::erase_if(map_, [](const auto& e) { return e.second.expired(); });
+    sweep_at_ = std::max<size_t>(16, 2 * map_.size());
+  }
+  return made;
+}
+
+void AnnotationRegistry::Invalidate(const Database* db, uint64_t generation) {
+  std::lock_guard<std::mutex> lock(mu_);
+  std::erase_if(map_, [&](const auto& e) {
+    return e.first.db != db || e.first.generation != generation;
+  });
+}
+
+size_t AnnotationRegistry::LiveBytes() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  size_t bytes = 0;
+  for (const auto& [key, weak] : map_)
+    if (Ptr live = weak.lock()) bytes += live->ApproxBytes();
+  return bytes;
 }
 
 PlanCacheStats PlanCache::Stats() const {

@@ -15,9 +15,14 @@
 // bytes exactly, so a 64-bit hash collision costs one string compare,
 // never a wrong plan. Textually different but equivalent regexes reach
 // the same bytes through regex/canonical.h + the deterministic
-// front-end, and therefore the same entry. (The ISSUE names the key as
-// (generation, automaton hash, source); target joins them because the
-// annotation prunes by target — two targets genuinely are two plans.)
+// front-end, and therefore the same entry.
+//
+// Two levels of sharing: the annotation is shared per (snapshot,
+// automaton, source) and the plan per target. Target t's annotation is
+// exactly levels [0, lambda_t] of the one product BFS from the source,
+// so every plan of a source copies its prefix out of one growable
+// SourceAnnotation (core/annotate.h), registered in AnnotationRegistry
+// below; only trim and queue layout are per target.
 //
 // Concurrency: single-flight build dedup. The first thread to miss on a
 // key claims it (a "building" marker entry) and builds OUTSIDE the
@@ -38,7 +43,8 @@
 // than the whole budget is kept alone rather than thrashed.
 //
 // Invalidation: InstallSnapshot forwards the new (db, generation) to
-// Invalidate(), which drops every entry built against anything else.
+// Invalidate() — of the cache and of the annotation registry — which
+// drops every entry built against anything else.
 // In-flight builds for dropped keys complete, hand their value to their
 // waiting callers, and are discarded rather than cached.
 
@@ -77,34 +83,46 @@ struct PreparedQuery {
         source(src),
         target(tgt) {}
 
-  /// Builds on a ready-made annotation — the multi-source prefix-sharing
-  /// path hands each source its MultiSourceAnnotation::Slice here, so
-  /// one product BFS serves many prepared views.
-  PreparedQuery(Snapshot s, Annotation a)
+  /// Builds on a ready-made annotation: a prefix of the shared
+  /// annotation \p sa (null when there is none), or a
+  /// MultiSourceAnnotation::Slice — so one product BFS serves many
+  /// prepared views.
+  PreparedQuery(Snapshot s, Annotation a,
+                std::shared_ptr<SourceAnnotation> sa = nullptr)
       : snap(std::move(s)),
         ann(std::move(a)),
         index(snap, ann),
         source(ann.source),
-        target(ann.target) {}
+        target(ann.target),
+        shared(std::move(sa)) {}
 
   /// Builds on repaired structures — the incremental InstallSnapshot
-  /// path: \p a and \p trimmed were patched by core/delta_annotate
-  /// against an insert-only edge delta, so only the resumable rank
-  /// arrays are rebuilt here; no product BFS, no backward sweep.
-  PreparedQuery(Snapshot s, Annotation a, TrimmedIndex trimmed)
+  /// path: \p a is a prefix of the repaired shared annotation \p sa and
+  /// \p trimmed was patched by core/delta_annotate against an
+  /// insert-only edge delta, so only the resumable rank arrays are
+  /// rebuilt here; no product BFS, no backward sweep.
+  PreparedQuery(Snapshot s, Annotation a, TrimmedIndex trimmed,
+                std::shared_ptr<SourceAnnotation> sa = nullptr)
       : snap(std::move(s)),
         ann(std::move(a)),
         index(snap, ann, std::move(trimmed)),
         source(ann.source),
-        target(ann.target) {}
+        target(ann.target),
+        shared(std::move(sa)) {}
 
   Snapshot snap;
   Annotation ann;
   ResumableIndex index;
   uint32_t source;
   uint32_t target;
+  /// The source's shared BFS whose prefix ann copies; null for an
+  /// unreachable plan or one built with sharing off. An install repairs
+  /// it once for every plan that holds it.
+  std::shared_ptr<SourceAnnotation> shared;
 
-  /// Heap footprint estimate — the plan cache's byte-budget charge.
+  /// Heap footprint estimate — the plan cache's byte-budget charge. The
+  /// shared annotation is not charged: it is reported on its own
+  /// (EngineStats::shared_annotation_bytes).
   size_t ApproxBytes() const {
     return sizeof(PreparedQuery) + ann.ApproxBytes() + index.ApproxBytes();
   }
@@ -148,6 +166,39 @@ struct PlanCacheStats {
   uint64_t upgrades = 0;              // entries re-keyed by InsertUpgraded
   size_t bytes_used = 0;
   size_t entries = 0;                 // completed entries resident
+};
+
+/// The shared annotations of the installed snapshot, one per (db,
+/// generation, canonical automaton, source): a PlanKey whose target is
+/// ignored. Holds weak references only — an annotation lives as long
+/// as a plan (cached, or held by an engine slot) references it. Has its
+/// own lock, never held together with the plan cache's.
+class AnnotationRegistry {
+ public:
+  using Ptr = std::shared_ptr<SourceAnnotation>;
+
+  /// The live annotation registered for \p key's source, or null.
+  Ptr Find(const PlanKey& key);
+
+  /// The live annotation registered for \p key's source; when there is
+  /// none, registers make()'s (under the lock, so one is ever made per
+  /// key) and sets *created.
+  Ptr GetOrRegister(const PlanKey& key, const std::function<Ptr()>& make,
+                    bool* created);
+
+  /// Drops every registration not of (\p db, \p generation).
+  void Invalidate(const Database* db, uint64_t generation);
+
+  /// Sum of the live registered annotations' ApproxBytes.
+  size_t LiveBytes() const;
+
+ private:
+  static PlanKey SourceKey(const PlanKey& key);
+
+  mutable std::mutex mu_;
+  std::unordered_map<PlanKey, std::weak_ptr<SourceAnnotation>, PlanKeyHash>
+      map_;
+  size_t sweep_at_ = 16;  // map size that triggers dropping dead entries
 };
 
 class PlanCache {

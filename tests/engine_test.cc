@@ -268,6 +268,57 @@ TEST(QueryEngineTest, UnknownIdsPumpRetired) {
   EXPECT_EQ(good.walks.size(), 8u);
 }
 
+// Before the first install there is nothing to build against: Prepare,
+// PrepareBatch and PrepareRegex hand back ids that were never handed
+// out (no null-snapshot build, in any build type), their sessions pump
+// kRetired, and installing a null snapshot changes nothing.
+TEST(QueryEngineTest, PrepareBeforeInstallReturnsRetiredIds) {
+  Instance inst = BubbleChain(3, 2);
+  Nfa query = StaircaseNfa(2, 2);
+  QueryEngine engine(2);
+
+  QueryId q = engine.Prepare(query, inst.source, inst.target);
+  EXPECT_EQ(q, kNoQuery);
+  EXPECT_EQ(engine.Pump(engine.OpenSession(q), 4).status,
+            PumpStatus::kRetired);
+  std::vector<QueryId> batch =
+      engine.PrepareBatch(query, {inst.source, 1, inst.source}, inst.target);
+  ASSERT_EQ(batch.size(), 3u);
+  for (QueryId id : batch) {
+    EXPECT_EQ(id, kNoQuery);
+    EXPECT_EQ(engine.Pump(engine.OpenSession(id), 4).status,
+              PumpStatus::kRetired);
+  }
+  PrepareRegexResult r = engine.PrepareRegex("l0 l1", inst.db.mutable_dict(),
+                                             inst.source, inst.target);
+  ASSERT_TRUE(r.ok);
+  EXPECT_EQ(engine.Pump(engine.OpenSession(r.id), 4).status,
+            PumpStatus::kRetired);
+
+  engine.InstallSnapshot(Snapshot{});  // still nothing installed
+  EXPECT_EQ(engine.Prepare(query, inst.source, inst.target), kNoQuery);
+  EngineStats none = engine.Stats();
+  EXPECT_EQ(none.plan_cache.misses, 0u);
+  EXPECT_EQ(none.annotations_built, 0u);
+  EXPECT_EQ(none.sessions_retired, 0u);
+
+  // A real install serves; a later null install neither retires nor
+  // invalidates anything.
+  Snapshot snap = inst.db.Freeze();
+  engine.InstallSnapshot(snap);
+  QueryId good = engine.Prepare(query, inst.source, inst.target);
+  SessionId parked = engine.OpenSession(good);
+  ASSERT_EQ(engine.Pump(parked, 3).status, PumpStatus::kOk);
+  engine.InstallSnapshot(Snapshot{});
+  EXPECT_EQ(engine.Stats().plan_cache.invalidations, 0u);
+  PumpResult rest = engine.Drain(parked, 2);
+  EXPECT_EQ(rest.status, PumpStatus::kExhausted);
+  EXPECT_EQ(rest.walks.size(), 5u);
+  EXPECT_EQ(engine.Stats().plan_cache.hits, 0u);
+  engine.Prepare(query, inst.source, inst.target);
+  EXPECT_EQ(engine.Stats().plan_cache.hits, 1u);
+}
+
 // Two clients draining ONE session race for its pump lock; the loser
 // of each round sees kBusy internally. Drain must absorb those (retry
 // until the session parks or exhausts) rather than returning a partial

@@ -389,6 +389,46 @@ TEST(PlanCacheTest, PrepareBatchMatchesPerSourcePrepare) {
   EXPECT_EQ(warm.plan_cache.hits, cold.plan_cache.hits + 5u);
 }
 
+// PrepareBatch splits its claimed sources into BFSs of
+// kBatchSourcesPerBfs blocks, so its memory does not grow with the
+// batch. 2 x chunk + 1 sources, with duplicates and out-of-range
+// sources on both sides of each chunk boundary, must match per-source
+// Prepare — cached (duplicates alias one key) and uncached (every
+// duplicate is its own block).
+TEST(PlanCacheTest, PrepareBatchChunksMatchPerSourcePrepare) {
+  Instance inst = Grid(9, 9);
+  Nfa query = StaircaseNfa(1, 1);
+  Snapshot snap = inst.db.Freeze();
+  const uint32_t target = 40;  // the center: some sources cannot reach it
+  constexpr size_t kChunk = QueryEngine::kBatchSourcesPerBfs;
+  std::vector<uint32_t> sources;
+  for (size_t j = 0; j < 2 * kChunk + 1; ++j)
+    sources.push_back(static_cast<uint32_t>((j * 7) % 81));
+  for (size_t b : {kChunk, 2 * kChunk}) {
+    sources[b - 2] = 1000 + static_cast<uint32_t>(b);  // out of range
+    sources[b - 1] = 10;
+    sources[b] = 10;  // a duplicate across the boundary
+    sources[b + (b == kChunk ? 1 : 0)] = 5000;
+  }
+  for (size_t budget : {size_t{64} << 20, size_t{0}}) {
+    SCOPED_TRACE("budget " + std::to_string(budget));
+    EngineOptions opts;
+    opts.num_threads = 2;
+    opts.plan_cache_bytes = budget;
+    QueryEngine engine(opts);
+    engine.InstallSnapshot(snap);
+    std::vector<QueryId> ids = engine.PrepareBatch(query, sources, target);
+    ASSERT_EQ(ids.size(), sources.size());
+    QueryEngine single(opts);
+    single.InstallSnapshot(snap);
+    for (size_t j = 0; j < sources.size(); ++j) {
+      SCOPED_TRACE("position " + std::to_string(j));
+      EXPECT_EQ(DrainAll(engine, ids[j]),
+                DrainAll(single, single.Prepare(query, sources[j], target)));
+    }
+  }
+}
+
 TEST(PlanCacheTest, WorkerEnumeratorCacheIsBounded) {
   Instance inst = Grid(4, 4);
   Nfa query = AnyKDfa(3, 1);
